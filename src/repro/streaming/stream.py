@@ -321,7 +321,8 @@ class StreamingCstf:
         if norm == 0.0:
             return 1.0
         model = KruskalTensor(self.factors, temporal_row)
-        return 1.0 - float(np.sqrt(model.residual_norm_sq(slice_tensor))) / norm
+        residual = model.residual_norm_sq(slice_tensor, tensor_norm=norm)
+        return 1.0 - float(np.sqrt(residual)) / norm
 
     # ------------------------------------------------------------------ #
     # Checkpointing

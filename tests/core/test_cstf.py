@@ -1,5 +1,7 @@
 """The AO driver (Algorithm 1): fit progress, phases, formats, analytic mode."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,9 @@ from repro.core.config import CstfConfig
 from repro.core.cstf import cstf
 from repro.core.trace import PHASES
 from repro.machine.analytic import TensorStats
+from repro.resilience.faults import FaultInjector, FaultSpec
 from repro.tensor.synthetic import planted_sparse_cp, random_sparse
+from repro.updates import UPDATE_REGISTRY
 
 
 @pytest.fixture(scope="module")
@@ -170,3 +174,69 @@ class TestWarmStart:
         res = cstf(tensor, rank=3, update="cuadmm", max_iters=2, init_factors=init)
         for f in res.kruskal.factors:
             assert (f >= 0).all()
+
+
+class TestFitFromLastMttkrp:
+    """The driver's fit (last mode's MTTKRP + cached Grams) agrees with the
+    nonzero-pass oracle ``KruskalTensor.fit(tensor)``."""
+
+    SHAPES = {"3way": (14, 11, 9), "4way": (9, 8, 7, 6)}
+
+    @staticmethod
+    def _agrees(tensor, res):
+        assert res.fits[-1] == pytest.approx(res.kruskal.fit(tensor), rel=1e-12)
+
+    @pytest.fixture(scope="class", params=sorted(SHAPES))
+    def sparse(self, request):
+        return random_sparse(self.SHAPES[request.param], nnz=300, seed=11)
+
+    @pytest.mark.parametrize("update", sorted(UPDATE_REGISTRY))
+    def test_every_update(self, sparse, update):
+        self._agrees(sparse, cstf(sparse, rank=3, max_iters=3, update=update, seed=2))
+
+    @pytest.mark.parametrize("fmt", ["coo", "blco", "csf"])
+    @pytest.mark.parametrize(
+        "engine", [None, "on", {"shards": 2, "backend": "threads"}],
+        ids=["seed", "engine", "threads2"],
+    )
+    def test_formats_and_backends(self, sparse, fmt, engine):
+        res = cstf(sparse, rank=3, max_iters=3, mttkrp_format=fmt, engine=engine, seed=2)
+        self._agrees(sparse, res)
+
+    def test_mttkrp_fault_does_not_reach_the_fit(self, sparse):
+        """An MTTKRP perturbed on every call still leaves the fit exact: the
+        fit uses the MTTKRP as computed, not the corrupted copy."""
+        injector = FaultInjector(
+            FaultSpec("MTTKRP", kind="perturb", probability=1.0, magnitude=10.0), seed=0
+        )
+        res = cstf(sparse, rank=3, max_iters=3, fault_injector=injector, seed=2)
+        assert injector.injected == 3 * sparse.ndim
+        self._agrees(sparse, res)
+
+    def test_gram_rescale(self, sparse):
+        res = cstf(
+            sparse, rank=3, max_iters=3, normalize="2",
+            engine={"gram_rescale": True}, seed=2,
+        )
+        self._agrees(sparse, res)
+
+
+def _traced_peak(tensor, **kwargs) -> int:
+    tracemalloc.start()
+    try:
+        cstf(tensor, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_fit_allocates_no_nonzero_sized_buffers():
+    """The fit must not gather factor rows per nonzero: its extra peak stays
+    well below one ``(nnz, R)`` float64 buffer."""
+    rank = 16
+    t = random_sparse((300, 250, 200), nnz=20_000, seed=5)
+    kwargs = dict(rank=rank, max_iters=2, engine="on", seed=0)
+    cstf(t, compute_fit=False, **kwargs)  # warm the plan cache for both runs
+    without = _traced_peak(t, compute_fit=False, **kwargs)
+    with_fit = _traced_peak(t, compute_fit=True, **kwargs)
+    assert with_fit - without < t.nnz * rank * 8 / 4

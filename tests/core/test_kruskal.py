@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core.kruskal import KruskalTensor, factor_match_score
+from repro.kernels.gram import gram
+from repro.kernels.mttkrp_coo import mttkrp_coo
 from repro.tensor.coo import SparseTensor
 
 
@@ -78,6 +80,48 @@ class TestFit:
         t = SparseTensor(np.zeros((0, 3), dtype=np.int64), np.zeros(0), model.shape)
         with pytest.raises(ValueError, match="all-zero"):
             model.fit(t)
+
+
+class TestFitFromStatistics:
+    """``fit(tensor, mttkrp=..., grams=...)`` against the nonzero-pass oracle."""
+
+    @pytest.fixture
+    def gappy(self, rng):
+        """A tensor whose last mode has empty slices (rows 1, 3, 4, 6, 7)."""
+        dense = np.where(rng.random((9, 7, 8)) < 0.3, rng.random((9, 7, 8)), 0.0)
+        dense[:, :, [1, 3, 4, 6, 7]] = 0.0
+        return SparseTensor.from_dense(dense)
+
+    @pytest.fixture
+    def model3(self, gappy, rng):
+        return KruskalTensor([rng.random((d, 4)) for d in gappy.shape], rng.random(4) + 0.5)
+
+    def test_fit_matches_oracle(self, gappy, model3):
+        m = mttkrp_coo(gappy, model3.factors, gappy.ndim - 1)
+        assert not m[[1, 3, 4, 6, 7]].any()
+        grams = [gram(f) for f in model3.factors]
+        got = model3.fit(gappy, mttkrp=m, grams=grams)
+        assert got == pytest.approx(model3.fit(gappy), rel=1e-12)
+
+    def test_cached_grams_give_the_same_bits(self, model3):
+        grams = [f.T @ f for f in model3.factors]
+        assert model3.norm_sq(grams) == model3.norm_sq()
+
+    def test_near_exact_model_reports_the_nonzero_pass(self, model3):
+        """Within round-off of an exact fit both evaluations are noise; the
+        MTTKRP path then returns the oracle's bits."""
+        exact = SparseTensor.from_dense(model3.full())
+        m = mttkrp_coo(exact, model3.factors, exact.ndim - 1)
+        grams = [gram(f) for f in model3.factors]
+        assert model3.fit(exact, mttkrp=m, grams=grams) == model3.fit(exact)
+
+    def test_mttkrp_shape_validated(self, gappy, model3):
+        with pytest.raises(ValueError, match="MTTKRP"):
+            model3.fit(gappy, mttkrp=np.zeros((3, 4)))
+
+    def test_gram_count_validated(self, gappy, model3):
+        with pytest.raises(ValueError, match="Gram"):
+            model3.fit(gappy, grams=[np.eye(4)])
 
 
 class TestNormalized:
