@@ -9,13 +9,13 @@ format and mode — so any process that can derive the key (the dispatching
 parent, a pool worker, the next CLI run) skips the sort-and-segment
 preprocessing entirely.
 
-Write discipline (the same one the checkpoint layer uses against torn
-writes):
+Write discipline (the checkpoint layer's, through the same writer,
+:mod:`repro.utils.npzio`):
 
-- **Atomic publish** — the ``.npz`` payload is written to a ``.tmp``
-  sibling, flushed and fsynced, then moved into place with
-  :func:`os.replace`; readers never observe a partial entry, even if the
-  writer is SIGKILLed mid-write.
+- **Atomic publish** — the ``.npz`` payload (stored, not deflated, zip
+  members) is written to a ``.tmp`` sibling, flushed and fsynced, then
+  moved into place with :func:`os.replace`; readers never observe a
+  partial entry, even if the writer is SIGKILLed mid-write.
 - **Payload checksum** — the entry's metadata carries a SHA-1 digest over
   every array (name, dtype, shape, bytes); :meth:`PlanStore.load` verifies
   it, plus the stream's structural invariants, before returning a plan.
@@ -35,7 +35,6 @@ footprint with LRU-by-mtime eviction (quarantine residue goes first).
 from __future__ import annotations
 
 import errno
-import hashlib
 import json
 import os
 from pathlib import Path
@@ -44,6 +43,7 @@ import numpy as np
 
 from repro.obs import current_telemetry
 from repro.resilience.events import PLAN_REPAIRED, STORE_SKIPPED
+from repro.utils.npzio import payload_digest, write_npz_atomic
 
 __all__ = ["PlanStore", "store_key"]
 
@@ -61,20 +61,6 @@ def store_key(content_hash: str, fmt: str, mode: int) -> str:
     what lets a pool worker or a repeated CLI run find the parent's plans.
     """
     return f"{content_hash[:24]}-{fmt}-m{int(mode)}"
-
-
-def _payload_digest(arrays: dict) -> str:
-    """SHA-1 over every payload array (name, dtype, shape, bytes)."""
-    h = hashlib.sha1()
-    for name in sorted(arrays):
-        if name == "meta_json":
-            continue
-        arr = np.asarray(arrays[name])
-        h.update(name.encode())
-        h.update(str(arr.dtype).encode())
-        h.update(repr(tuple(arr.shape)).encode())
-        h.update(np.ascontiguousarray(arr).tobytes())
-    return h.hexdigest()
 
 
 class PlanStore:
@@ -131,7 +117,6 @@ class PlanStore:
         in-memory plan and the run continues.
         """
         path = self.path(key)
-        tmp = path.with_name(path.name + ".tmp")
         try:
             if self.fail_next_write:
                 self.fail_next_write = False
@@ -151,20 +136,11 @@ class PlanStore:
                 "mode": int(plan.mode),
                 "out_rows": int(plan.out_rows),
                 "ncols": len(stream.cols),
-                "checksum": _payload_digest(arrays),
+                "checksum": payload_digest(arrays),
             }
             arrays["meta_json"] = np.array(json.dumps(meta))
-
-            with open(tmp, "wb") as fh:
-                np.savez_compressed(fh, **arrays)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, path)
+            write_npz_atomic(path, arrays)
         except OSError as exc:
-            try:
-                os.remove(tmp)
-            except OSError:
-                pass
             self.write_errors += 1
             current_telemetry().counter("engine.store.write_errors")
             if events is not None:
@@ -251,7 +227,7 @@ class PlanStore:
                         f"unsupported entry version {meta.get('format_version')!r}"
                     )
                 payload = {name: data[name] for name in data.files}
-                digest = _payload_digest(payload)
+                digest = payload_digest(payload)
                 if digest != meta.get("checksum"):
                     raise ValueError(
                         f"payload checksum mismatch (stored "

@@ -23,6 +23,10 @@ from pathlib import Path
 
 __all__ = ["JsonlSink", "read_jsonl"]
 
+#: ``json.dumps(obj, separators=(",", ":"))`` builds a fresh encoder per
+#: call; one shared encoder with the same settings writes the same bytes.
+_encode_compact = json.JSONEncoder(separators=(",", ":")).encode
+
 
 class JsonlSink:
     """Append telemetry records to a ``.jsonl`` file (or text file object).
@@ -55,7 +59,7 @@ class JsonlSink:
             if self.fail_next_write:
                 self.fail_next_write = False
                 raise OSError(errno.ENOSPC, "injected disk_full fault")
-            self._fh.write(json.dumps(obj, separators=(",", ":")) + "\n")
+            self._fh.write(_encode_compact(obj) + "\n")
             self.lines_written += 1
         except OSError:
             self._degrade()

@@ -50,6 +50,27 @@ class TestJsonlSink:
         assert not buf.closed
         assert buf.getvalue().count("\n") == 1
 
+    def test_lines_are_byte_identical_to_json_dumps(self):
+        records = [
+            {"type": "meta", "version": 1, "run": {}},
+            {"type": "span", "name": "core.iter", "t0": 0.1, "t1": 1e-300,
+             "attrs": {"mode": 2, "ok": True, "tag": None}},
+            {"nested": [1, [2.5, {"k": "v"}], []], "neg": -0.0, "big": 10**30},
+            {"text": "quote \" backslash \\ tab \t newline \n é 漢 \U0001f600"},
+            {"nan": float("nan"), "inf": float("inf"), "ninf": float("-inf")},
+            {3: "int key", "b": False},
+        ]
+        buf = io.StringIO()
+        sink = JsonlSink(buf)
+        for rec in records:
+            sink.emit(rec)
+        sink.close()
+        expected = "".join(
+            json.dumps(rec, separators=(",", ":")) + "\n" for rec in records
+        )
+        assert buf.getvalue() == expected
+        assert sink.lines_written == len(records)
+
     def test_rejects_corrupt_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"type":"meta"}\nnot json\n')

@@ -1,17 +1,22 @@
 """Atomic checkpoint/resume: bit-identical continuation of a cSTF run."""
 
 import os
+import struct
+import zipfile
 
 import numpy as np
 import pytest
 
 from repro.core.cstf import cstf
+from repro.engine.plan import PlanCache, _content_hash
+from repro.engine.plan_store import PlanStore, store_key
 from repro.resilience import (
     CheckpointCorrupt,
     ResilienceError,
     load_checkpoint,
     save_checkpoint,
 )
+from repro.resilience.events import PLAN_REPAIRED, EventLog
 from repro.tensor.synthetic import random_sparse
 
 
@@ -247,3 +252,116 @@ class TestTornWriteProtection:
         assert any(e.kind == "checkpoint_corrupt" for e in resumed.events)
         for a, b in zip(straight.kruskal.factors, resumed.kruskal.factors):
             assert np.array_equal(a, b)
+
+
+def _rewrite_deflated(path):
+    """Re-encode an archive the way checkpoints were written before they
+    switched to stored members: the same arrays through ``savez_compressed``."""
+    with np.load(path, allow_pickle=False) as data:
+        arrays = {name: np.array(data[name]) for name in data.files}
+    with open(path, "wb") as fh:
+        np.savez_compressed(fh, **arrays)
+
+
+def _flip_member_byte(path, member):
+    """Flip the last data byte of a stored ``<member>.npy`` in place.
+
+    The local file header is parsed for the data offset, so the flipped
+    byte is array payload — the archive stays structurally valid.
+    """
+    with zipfile.ZipFile(path) as zf:
+        info = zf.getinfo(f"{member}.npy")
+    assert info.compress_type == zipfile.ZIP_STORED
+    with open(path, "r+b") as fh:
+        fh.seek(info.header_offset + 26)
+        name_len, extra_len = struct.unpack("<HH", fh.read(4))
+        pos = info.header_offset + 30 + name_len + extra_len + info.file_size - 1
+        fh.seek(pos)
+        byte = fh.read(1)
+        fh.seek(pos)
+        fh.write(bytes([byte[0] ^ 0xFF]))
+
+
+class TestStoredLayout:
+    """Checkpoints and plan-store entries are written as stored (not
+    deflated) zip members; deflated archives from older versions still load."""
+
+    def test_checkpoint_members_are_stored(self, tensor, tmp_path):
+        path = tmp_path / "cp.npz"
+        cstf(tensor, rank=3, max_iters=2, seed=3, tol=0.0, update="cuadmm",
+             checkpoint_every=2, checkpoint_path=path)
+        with zipfile.ZipFile(path) as zf:
+            infos = zf.infolist()
+        names = {info.filename for info in infos}
+        assert {"meta_json.npy", "factor_0.npy", "weights.npy"} <= names
+        assert any(name.startswith("state__") for name in names)
+        assert all(info.compress_type == zipfile.ZIP_STORED for info in infos)
+
+    def test_plan_store_members_are_stored(self, tensor, tmp_path):
+        store = PlanStore(tmp_path)
+        cache = PlanCache()
+        cache.store = store
+        cache.plan(tensor, 0)
+        (key,) = store.keys()
+        with zipfile.ZipFile(store.path(key)) as zf:
+            infos = zf.infolist()
+        assert "values.npy" in {info.filename for info in infos}
+        assert all(info.compress_type == zipfile.ZIP_STORED for info in infos)
+
+    @pytest.mark.parametrize("layout", ["stored", "deflated"])
+    def test_resume_is_bit_identical_for_either_layout(
+        self, tensor, tmp_path, layout
+    ):
+        """10 iterations straight equal 5 + resume + 5, whether the
+        checkpoint holds stored members or the older deflated ones."""
+        kw = dict(rank=3, seed=3, tol=0.0, update="cuadmm")
+        straight = cstf(tensor, max_iters=10, **kw)
+        path = tmp_path / "half.npz"
+        cstf(tensor, max_iters=5, checkpoint_every=5, checkpoint_path=path, **kw)
+        if layout == "deflated":
+            _rewrite_deflated(path)
+            with zipfile.ZipFile(path) as zf:
+                assert all(
+                    i.compress_type == zipfile.ZIP_DEFLATED for i in zf.infolist()
+                )
+        ckpt = load_checkpoint(path)
+        assert ckpt.iteration == 5 and ckpt.state_arrays
+        resumed = cstf(tensor, max_iters=10, resume_from=path, **kw)
+        assert resumed.start_iteration == 5
+        for a, b in zip(straight.kruskal.factors, resumed.kruskal.factors):
+            np.testing.assert_allclose(b, a, rtol=0, atol=0)
+        np.testing.assert_allclose(
+            resumed.kruskal.weights, straight.kruskal.weights, rtol=0, atol=0
+        )
+        np.testing.assert_allclose(resumed.fits, straight.fits, rtol=0, atol=0)
+
+    def test_flipped_byte_in_stored_factor_falls_back_to_prev(self, tmp_path):
+        path = tmp_path / "cp.npz"
+        _save(path, iteration=1, value=1.0)
+        _save(path, iteration=2, value=2.0)
+        _flip_member_byte(path, "factor_0")
+        with pytest.warns(CheckpointCorrupt, match="checksum|CRC"):
+            ckpt = load_checkpoint(path)
+        assert ckpt.iteration == 1
+        assert np.array_equal(ckpt.factors[0], np.full((3, 2), 1.0))
+
+    def test_flipped_byte_in_stored_plan_entry_is_repaired(self, tensor, tmp_path):
+        store = PlanStore(tmp_path)
+        cache = PlanCache()
+        cache.store = store
+        built = cache.plan(tensor, 0)
+        key = store_key(_content_hash(tensor), "coo", 0)
+        assert key in store
+        _flip_member_byte(store.path(key), "values")
+
+        fresh = PlanCache()
+        fresh.store = store
+        events = EventLog()
+        plan = fresh.plan(tensor, 0, events=events)
+        assert store.quarantined == 1
+        (ev,) = events.of_kind(PLAN_REPAIRED)
+        assert key in ev.detail
+        assert np.array_equal(plan.stream.values, built.stream.values)
+        # The rebuilt plan was republished under the same key and loads clean.
+        assert store.load(key) is not None
+        assert store.quarantined == 1

@@ -28,6 +28,7 @@ from repro.resilience import FaultInjector, FaultSpec, load_checkpoint
 from repro.resilience.checkpoint import save_checkpoint
 from repro.resilience.events import CHECKPOINT_SKIPPED, STORE_SKIPPED, EventLog
 from repro.tensor.synthetic import random_sparse
+from repro.utils import npzio
 
 pytestmark = pytest.mark.faults
 
@@ -39,6 +40,22 @@ def tensor():
 
 def _enospc(*_a, **_k):
     raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def _fail_payload_writes(monkeypatch) -> dict:
+    """Make the shared ``.npz`` writer's write step raise ENOSPC.
+
+    Returns a call counter, so a test can assert the injection actually
+    fired rather than passing on a write path that bypasses it.
+    """
+    calls = {"n": 0}
+
+    def failing_write(*args, **kwargs):
+        calls["n"] += 1
+        _enospc()
+
+    monkeypatch.setattr(npzio, "_write_payload", failing_write)
+    return calls
 
 
 class TestCheckpointEnospc:
@@ -54,9 +71,10 @@ class TestCheckpointEnospc:
 
         write(2)
         write(4)  # rotates iter-2 to .prev
-        monkeypatch.setattr(np, "savez_compressed", _enospc)
+        injected = _fail_payload_writes(monkeypatch)
         with pytest.raises(OSError):
             write(6)
+        assert injected["n"] == 1
         # No temp debris, and both generations survived untouched.
         assert not list(tmp_path.glob("*.tmp"))
         assert load_checkpoint(path).iteration == 4
@@ -147,8 +165,9 @@ class TestPlanStoreEnospc:
         cache = PlanCache()
         cache.store = PlanStore(tmp_path / "store")
         events = EventLog()
-        monkeypatch.setattr(np, "savez_compressed", _enospc)
+        injected = _fail_payload_writes(monkeypatch)
         plan = cache.plan(tensor, 0, events=events)  # must not raise
+        assert injected["n"] == 1
         assert plan is not None
         assert plan.store_key is None
         assert cache.store.write_errors == 1

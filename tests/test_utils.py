@@ -1,10 +1,12 @@
 """Validation, RNG and timing utilities."""
 
+import hashlib
 import time
 
 import numpy as np
 import pytest
 
+from repro.utils.npzio import payload_digest
 from repro.utils.rng import as_generator, spawn_generators
 from repro.utils.timing import Stopwatch
 from repro.utils.validation import (
@@ -152,3 +154,49 @@ class TestStopwatch:
         assert "75.0%" in lines[2]
         assert "8.000000" in lines[-1]  # grand total
         assert Stopwatch().report() == "(no laps recorded)"
+
+
+def _digest_payload():
+    return {
+        "meta_json": np.array("ignored"),
+        "factor_0": np.arange(12, dtype=np.float64).reshape(4, 3) / 7.0,
+        "cols": np.arange(10, dtype=np.int64)[::2],
+        "fortran": np.asfortranarray(np.arange(6, dtype=np.int32).reshape(2, 3)),
+        "scalar": np.float64(2.5),
+        "empty": np.zeros((0, 4)),
+        "mask": np.array([True, False, True]),
+    }
+
+
+class TestPayloadDigest:
+    def test_pinned_digest(self):
+        """Checkpoints and plan-store entries already on disk carry this
+        digest; a change to it would fail every one of them on load."""
+        assert (
+            payload_digest(_digest_payload())
+            == "68dc7b2c4cb7a77a2f80c5bf83bc6d6594cb63cf"
+        )
+
+    def test_equals_hash_of_contiguous_bytes(self):
+        arrays = _digest_payload()
+        h = hashlib.sha1()
+        for name in sorted(arrays):
+            if name == "meta_json":
+                continue
+            arr = np.asarray(arrays[name])
+            h.update(name.encode())
+            h.update(str(arr.dtype).encode())
+            h.update(repr(tuple(arr.shape)).encode())
+            h.update(np.ascontiguousarray(arr).tobytes())
+        assert payload_digest(arrays) == h.hexdigest()
+
+    def test_metadata_member_is_not_hashed(self):
+        arrays = _digest_payload()
+        arrays["meta_json"] = np.array("something else")
+        assert payload_digest(arrays) == payload_digest(_digest_payload())
+
+    def test_one_flipped_value_changes_the_digest(self):
+        arrays = _digest_payload()
+        arrays["factor_0"] = arrays["factor_0"].copy()
+        arrays["factor_0"][2, 1] = np.nextafter(arrays["factor_0"][2, 1], 0.0)
+        assert payload_digest(arrays) != payload_digest(_digest_payload())
