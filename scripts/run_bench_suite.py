@@ -48,15 +48,6 @@ def main(argv=None) -> int:
     parser.add_argument("--fig4-names", nargs="+", default=["nips", "flickr"],
                         help="dataset names for the fig4 per-mode sweep")
     parser.add_argument("--fig4-device", default="h100")
-    parser.add_argument("--no-wall", action="store_true",
-                        help="skip the fig4wall measured wall-clock group "
-                             "(engine vs seed kernels)")
-    parser.add_argument("--wall-names", nargs="+", default=["nips", "flickr"],
-                        help="dataset names for the fig4wall wall-clock runs")
-    parser.add_argument("--wall-nnz", type=int, default=80_000,
-                        help="target nonzeros for the fig4wall analogues")
-    parser.add_argument("--wall-repeats", type=int, default=2,
-                        help="wall-clock repeats per configuration (min is kept)")
     parser.add_argument("--shm-bench", action="store_true",
                         help="also measure the shmdispatch group: processes-"
                              "backend dispatch overhead, pipe vs shared-"
@@ -81,10 +72,6 @@ def main(argv=None) -> int:
         datasets=tuple(args.datasets),
         fig4_names=tuple(args.fig4_names),
         fig4_device=args.fig4_device,
-        wall=not args.no_wall,
-        wall_names=tuple(args.wall_names),
-        wall_nnz=args.wall_nnz,
-        wall_repeats=args.wall_repeats,
         shm_bench=args.shm_bench,
         shm_shards=args.shm_shards,
         shm_nnz=args.shm_nnz,

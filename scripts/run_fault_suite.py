@@ -80,50 +80,65 @@ cstf(X, CstfConfig(
 """
 
 
-# Engine equivalence gate: the PR 4 execution engine must reproduce the
-# seed kernels bit for bit (serial and sharded) and hit its plan cache on
-# every lookup after the first AO iteration.
+# Engine equivalence gate: every engine configuration must reproduce the
+# per-format kernel oracle bit for bit (all four formats serial; coo and
+# alto sharded on threads; coo on worker processes) and hit its plan cache
+# on every lookup after the first AO iteration.
 _ENGINE_EQUIV_SNIPPET = """
 import numpy as np
 from repro.core.config import CstfConfig
 from repro.core.cstf import cstf
+from repro.engine import get_plan_cache, shutdown_backends
 from repro.tensor.coo import SparseTensor
+from tests.kernel_oracle import kernel_oracle
 
 rng = np.random.default_rng(0)
 idx = rng.integers(0, [60, 45, 30], size=(5000, 3))
 vals = rng.random(5000)
 X = SparseTensor(idx, vals, (60, 45, 30))
 
-def run(engine, telemetry="off"):
+def run(engine, fmt="coo", telemetry="off"):
     return cstf(X, CstfConfig(
         rank=8, max_iters=11, update="cuadmm", device="a100",
-        mttkrp_format="coo", compute_fit=False, seed=1,
+        mttkrp_format=fmt, compute_fit=False, seed=1,
         telemetry=telemetry, engine=engine,
     ))
 
-seed_res = run(None)
-on_res = run("on", telemetry="on")
-sh_res = run({"shards": 3})
-
-for res, label in ((on_res, "engine-serial"), (sh_res, "engine-sharded")):
-    assert np.array_equal(res.kruskal.weights, seed_res.kruskal.weights), (
+def same(res, ref, label):
+    assert np.array_equal(res.kruskal.weights, ref.kruskal.weights), (
         label + " weights differ"
     )
-    for mode, (fa, fb) in enumerate(zip(res.kruskal.factors, seed_res.kruskal.factors)):
+    for mode, (fa, fb) in enumerate(zip(res.kruskal.factors, ref.kruskal.factors)):
         assert np.array_equal(fa, fb), label + f" factor {mode} differs"
 
+for fmt in ("coo", "alto", "blco", "csf"):
+    with kernel_oracle():
+        ref = run("on", fmt)
+    same(run("on", fmt), ref, fmt + " engine-serial")
+    if fmt in ("coo", "alto"):
+        same(run({"shards": 3}, fmt), ref, fmt + " engine-sharded")
+    if fmt == "coo":
+        try:
+            procs = run({"shards": 2, "backend": "processes"}, fmt)
+        finally:
+            shutdown_backends()
+        same(procs, ref, fmt + " engine-processes")
+
+get_plan_cache().clear()  # count the first iteration's plan builds
+on_res = run("on", telemetry="on")
 counters = on_res.telemetry.metrics_summary.get("counters", {})
 hits = counters.get("engine.plan.hits", 0)
 misses = counters.get("engine.plan.misses", 0)
 rate = hits / max(1, hits + misses)
 assert rate >= 0.9, f"plan-cache hit rate {rate:.3f} < 0.9"
-print(f"engine equivalence OK: serial+sharded bitwise, hit rate {rate:.3f}")
+print(f"engine equivalence OK: serial/sharded/processes bitwise vs the "
+      f"kernel oracle, hit rate {rate:.3f}")
 """
 
 
 # Chaos gate: a *supervised* run with execution faults injected (worker
 # crashes, stragglers, plan corruption) must complete bit-identical to a
-# fault-free run, and its telemetry stream must stay schema-valid; a
+# fault-free kernel-oracle run, and its telemetry stream must stay schema-valid; a
 # supervised run with no faults must add zero retries/degradations.
 _CHAOS_SNIPPET = """
 import numpy as np
@@ -133,6 +148,7 @@ from repro.obs import Telemetry
 from repro.resilience import FaultInjector, FaultSpec, supervised_cstf
 
 from repro.tensor.coo import SparseTensor
+from tests.kernel_oracle import kernel_oracle
 
 rng = np.random.default_rng(0)
 idx = rng.integers(0, [40, 30, 20], size=(2500, 3))
@@ -141,7 +157,9 @@ X = SparseTensor(idx, vals, (40, 30, 20))
 base = dict(rank=5, max_iters=4, update="admm", device="cpu",
             mttkrp_format="coo", seed=11)
 
-plain = cstf(X, CstfConfig(**base))
+# The fault-free reference: the same run on the per-format kernel oracle.
+with kernel_oracle():
+    plain = cstf(X, CstfConfig(**base))
 
 # 1. Supervised, no faults: pure pass-through.
 sup = supervised_cstf(X, CstfConfig(**base))
@@ -185,7 +203,7 @@ _PROCESS_CHAOS_SNIPPET = """
 import numpy as np
 from repro.core.config import CstfConfig
 from repro.core.cstf import cstf
-from repro.engine import shutdown_pools
+from repro.engine import shutdown_backends
 from repro.obs import Telemetry
 from repro.resilience import FaultInjector, FaultSpec, supervised_cstf
 from repro.tensor.coo import SparseTensor
@@ -234,7 +252,7 @@ assert "worker_lost" in kinds, (
 assert "plan_repaired" in kinds, (
     f"no plan_repaired event despite corrupt_store faults (saw {sorted(kinds)})"
 )
-shutdown_pools()
+shutdown_backends()
 print("process chaos OK (shm=%s): faults=%d, kinds=%s" % (
     SHM_MODE, injector.injected,
     ",".join(sorted(kinds & {"worker_lost", "plan_repaired"}))))
@@ -254,7 +272,7 @@ import glob
 import numpy as np
 from repro.core.config import CstfConfig
 from repro.core.cstf import cstf
-from repro.engine import shutdown_pools
+from repro.engine import shutdown_backends
 from repro.obs import Telemetry
 from repro.resilience import FaultInjector, FaultSpec, supervised_cstf
 from repro.resilience.checkpoint import load_checkpoint
@@ -326,7 +344,7 @@ assert not (clean_kinds & pressure), (
     f"clean run shows pressure events: {sorted(clean_kinds & pressure)}"
 )
 
-shutdown_pools()
+shutdown_backends()
 leaked = set(glob.glob("/dev/shm/*")) - shm_before
 assert not leaked, f"/dev/shm leaked segments: {sorted(leaked)}"
 print("resource chaos OK (shm=%s): faults=%d, kinds=%s" % (
@@ -413,7 +431,7 @@ def _check_chaos(env) -> int:
 
 
 def _check_engine_equivalence(env) -> int:
-    """Seed vs engine-serial vs engine-sharded must be bit-identical."""
+    """Kernel oracle vs engine serial/sharded/processes: bit-identical."""
     return subprocess.call(
         [sys.executable, "-c", _ENGINE_EQUIV_SNIPPET], cwd=REPO_ROOT, env=env,
     )
@@ -442,12 +460,11 @@ def _check_perf_baselines(env) -> int:
     """Run the bench suite and gate it against the committed baselines.
 
     The simulated groups are seeded, so any drift caught by ``repro diff``
-    is a genuine behavior change, not noise; the measured ``fig4wall``
-    group carries its own wide tolerance and is additionally gated here on
-    the PR 4 acceptance floor: engine wall-clock speedup geomean >= 2x.
-    The ``--shm-bench`` group (processes-backend dispatch overhead, pipe
-    vs shared-memory transport) rides along and is diffed against its
-    blessed baseline; its speedup is reported informationally.
+    is a genuine behavior change, not noise. The ``--shm-bench`` group
+    (processes-backend dispatch overhead, pipe vs shared-memory transport)
+    rides along and is diffed against its blessed baseline; its speedup is
+    reported informationally. Host wall-clock of whole runs is gated by
+    the ``bench/`` harness (``BENCHMARK.json``), not here.
     """
     import json
 
@@ -468,14 +485,6 @@ def _check_perf_baselines(env) -> int:
                 print(f"shm dispatch overhead: pipe {m['pipe.dispatch_s']*1e3:.1f}ms "
                       f"vs shm {m['shm.dispatch_s']*1e3:.1f}ms "
                       f"({m['shm_speedup']:.2f}x)")
-            if group["figure"] != "fig4wall":
-                continue
-            speedup = group["metrics"]["geomean.engine_speedup"]
-            if speedup < 2.0:
-                print(f"engine wall-clock speedup gate failed: "
-                      f"geomean {speedup:.2f}x < 2.0x")
-                return 1
-            print(f"engine wall-clock speedup: geomean {speedup:.2f}x (gate: >= 2x)")
         return subprocess.call(
             [sys.executable, "-m", "repro", "diff", str(bench),
              "--baselines", str(REPO_ROOT / "benchmarks" / "baselines")],
@@ -566,7 +575,7 @@ def main(extra_args: list[str]) -> int:
     code = _check_fault_trace(env)
     if code != 0:
         return code
-    print("\nchecking engine (sharded vs serial vs seed) reproduction")
+    print("\nchecking engine (serial, sharded, processes) against the kernel oracle")
     code = _check_engine_equivalence(env)
     if code != 0:
         return code

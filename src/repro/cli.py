@@ -95,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     plan.add_argument("--gpu", default="a100")
     plan.add_argument("--host-shards", type=int, default=1,
                       help="engine worker shards assumed for the CPU MTTKRP "
-                           "estimate (default: 1 = serial seed path)")
+                           "estimate (default: 1 = serial execution)")
 
     rep = sub.add_parser("report", help="regenerate the Figure 5/6 speedup table")
     rep.add_argument("--device", default="a100")
@@ -162,38 +162,38 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_engine_args(p) -> None:
-    p.add_argument("--engine", default="off",
-                   choices=["off", "on", "sharded", "processes"],
-                   help="host execution engine: off (seed kernels), on "
-                        "(plan cache + chunked execution), sharded "
-                        "(+ threads), processes (+ isolated crash-tolerant "
-                        "worker processes)")
+    p.add_argument("--engine", default="on",
+                   choices=["on", "sharded", "processes"],
+                   help="host MTTKRP execution: on (default; plan cache + "
+                        "chunked serial execution), sharded (+ threads), "
+                        "processes (+ isolated crash-tolerant worker "
+                        "processes)")
     p.add_argument("--shards", type=int, default=None, metavar="N",
-                   help="engine worker shards (implies --engine)")
+                   help="engine worker shards (overrides --engine)")
     p.add_argument("--backend", default=None,
                    choices=["serial", "threads", "processes"],
-                   help="shard dispatch backend (implies --engine; "
+                   help="shard dispatch backend (overrides --engine; "
                         "default: threads)")
     p.add_argument("--plan-store", default=None, metavar="DIR",
                    help="persist MTTKRP plans to an on-disk, crash-safe, "
-                        "content-addressed store in DIR (implies --engine; "
+                        "content-addressed store in DIR (overrides --engine; "
                         "serves coo-format plans, pair with --format coo)")
     p.add_argument("--plan-store-bytes", type=int, default=None, metavar="N",
                    help="bound the plan store to N bytes with LRU eviction "
                         "(requires --plan-store; 0 = unbounded)")
     p.add_argument("--shm", default=None, choices=["auto", "on", "off"],
-                   help="processes-backend shard transport (implies "
+                   help="processes-backend shard transport (overrides "
                         "--engine): auto (default; zero-copy shared-memory "
                         "segments where available, pipe fallback), on "
                         "(require shared memory), off (pickle over pipes)")
     p.add_argument("--memory-budget", type=int, default=None, metavar="BYTES",
-                   help="resource-pressure memory budget in bytes (implies "
+                   help="resource-pressure memory budget in bytes (overrides "
                         "--engine): processes-backend workers breaching it "
                         "are recycled at shard boundaries, and the "
                         "shared-memory transport trims/downgrades instead "
                         "of exceeding it (0 = unbounded)")
     p.add_argument("--disk-budget", type=int, default=None, metavar="BYTES",
-                   help="resource-pressure disk budget in bytes (implies "
+                   help="resource-pressure disk budget in bytes (overrides "
                         "--engine): default on-disk bound for the plan "
                         "store when --plan-store-bytes is unset "
                         "(0 = unbounded)")
@@ -222,8 +222,7 @@ def _engine_setting(args):
         overrides["disk_budget_bytes"] = args.disk_budget
     if overrides:
         return overrides
-    engine = getattr(args, "engine", "off")
-    return None if engine == "off" else engine
+    return getattr(args, "engine", "on")
 
 
 def _cmd_datasets(out) -> int:

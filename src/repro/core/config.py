@@ -71,14 +71,23 @@ class CstfConfig:
         checkpointed before the exception propagates (used by the run
         supervisor's in-run deadline guard).
     engine:
-        Host execution engine for the concrete hot paths (see
-        :mod:`repro.engine`): ``None``/``"off"`` (default — seed kernels),
-        ``"on"``/``"cached"`` (per-tensor plan cache + chunked execution),
-        ``"sharded"`` (plan cache + threaded shards), a dict of
-        :class:`~repro.engine.EngineConfig` fields, or an ``EngineConfig``.
-        Apart from the opt-in ``gram_rescale`` knob, engine runs are
-        bit-identical to seed runs and charge identical simulated device
-        costs; only host wall-clock changes. Ignored for analytic runs.
+        Host execution engine, the MTTKRP path of every concrete run (see
+        :mod:`repro.engine`): ``None``/``"on"``/``"cached"`` (default —
+        per-tensor plan cache + chunked serial execution), ``"sharded"``
+        (plan cache + threaded shards), ``"processes"`` (shards on
+        isolated worker processes), a dict of
+        :class:`~repro.engine.EngineConfig` fields, or an ``EngineConfig``;
+        normalized to an ``EngineConfig``. ``"off"``/``False`` raise
+        ``ValueError`` (the seed-kernel path was removed). Apart from the
+        opt-in ``gram_rescale`` knob, every setting gives bit-identical
+        factors and charges identical simulated device costs; only host
+        wall-clock changes. Concrete runs keep their tensor, its format
+        conversions and its plans in the process-wide plan cache
+        (:func:`~repro.engine.get_plan_cache`, LRU over its
+        ``max_tensors``, 16 tensors); its cheap staleness probe samples
+        only 16 nonzeros, so after editing ``tensor.values`` or
+        ``tensor.indices`` in place call
+        ``get_plan_cache().invalidate(tensor)``. Ignored for analytic runs.
     """
 
     rank: int = 32
@@ -114,9 +123,7 @@ class CstfConfig:
             "on_iteration must be callable (or None)",
         )
         require(
-            self.engine is None
-            or not self.engine.gram_rescale
-            or self.normalize == "2",
+            not self.engine.gram_rescale or self.normalize == "2",
             'engine.gram_rescale requires normalize="2" (λ² is diag(G) only '
             "under the Euclidean column-norm convention)",
         )

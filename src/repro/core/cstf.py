@@ -5,9 +5,12 @@ phases:
 
 1. **GRAM** — ``S⁽ⁿ⁾ = ⊛_{m≠n} G⁽ᵐ⁾`` from cached Gram matrices, plus the
    refresh ``G⁽ⁿ⁾ = H⁽ⁿ⁾ᵀH⁽ⁿ⁾`` after the update (lines 8 and 12).
-2. **MTTKRP** — ``M⁽ⁿ⁾`` through the configured sparse format's kernel
-   (line 9); cost charged analytically from the tensor statistics so the
-   simulated time reflects the device, not the host's NumPy speed.
+2. **MTTKRP** — ``M⁽ⁿ⁾`` in the configured sparse format (line 9),
+   computed by the host engine (:class:`~repro.engine.driver.EngineMttkrp`,
+   the one concrete MTTKRP path; its ``CstfConfig.engine`` knobs change
+   host wall-clock, never bits) and charged analytically from the tensor
+   statistics, so the simulated time reflects the device, not the host's
+   NumPy speed.
 3. **UPDATE** — the constraint update (line 10), e.g. ADMM/cuADMM.
 4. **NORMALIZE** — column normalization with λ absorption (line 11).
 
@@ -32,10 +35,6 @@ from repro.core.trace import (
     PHASE_NORMALIZE,
     PHASE_UPDATE,
 )
-from repro.kernels.mttkrp_alto import mttkrp_alto
-from repro.kernels.mttkrp_blco import mttkrp_blco
-from repro.kernels.mttkrp_coo import mttkrp_coo
-from repro.kernels.mttkrp_csf import mttkrp_csf
 from repro.machine.analytic import TensorStats, charge_mttkrp
 from repro.machine.executor import Executor
 from repro.machine.symbolic import SymArray
@@ -54,10 +53,7 @@ from repro.resilience.events import (
 )
 from repro.resilience.guards import ensure_finite
 from repro.resilience.policy import STATE_KEY, ResilienceContext, ResiliencePolicy
-from repro.tensor.alto import AltoTensor
-from repro.tensor.blco import BlcoTensor
 from repro.tensor.coo import SparseTensor
-from repro.tensor.csf import CsfTensor
 from repro.updates.base import get_update
 from repro.utils.rng import as_generator
 from repro.utils.validation import require
@@ -112,35 +108,6 @@ class CstfResult:
             for p in (PHASE_GRAM, PHASE_MTTKRP, PHASE_UPDATE, PHASE_NORMALIZE)
         )
         return timed / max(self.iterations - self.start_iteration, 1)
-
-
-class _ConcreteMttkrp:
-    """Holds the per-format structures and computes M plus its cost."""
-
-    def __init__(self, tensor: SparseTensor, fmt: str):
-        self.fmt = fmt
-        self.stats = TensorStats.from_coo(tensor)
-        self.ndim = tensor.ndim
-        if fmt == "coo":
-            self.data = tensor
-        elif fmt == "alto":
-            self.data = AltoTensor.from_coo(tensor)
-        elif fmt == "blco":
-            self.data = BlcoTensor.from_coo(tensor)
-        elif fmt == "csf":
-            self.data = [CsfTensor.from_coo(tensor, root_mode=m) for m in range(tensor.ndim)]
-        else:  # pragma: no cover - config validates
-            raise ValueError(fmt)
-
-    def compute(self, ex: Executor, factors, mode: int, rank: int):
-        charge_mttkrp(ex, self.stats, rank, mode, self.fmt)
-        if self.fmt == "coo":
-            return mttkrp_coo(self.data, factors, mode)
-        if self.fmt == "alto":
-            return mttkrp_alto(self.data, factors, mode)
-        if self.fmt == "blco":
-            return mttkrp_blco(self.data, factors, mode)
-        return mttkrp_csf(self.data[mode], factors, mode)
 
 
 class _SymbolicMttkrp:
@@ -298,16 +265,16 @@ def _cstf_run(tensor, config: CstfConfig, tel) -> CstfResult:
             raise TypeError(
                 f"tensor must be SparseTensor or TensorStats, got {type(tensor).__name__}"
             )
-        if config.engine is not None:
-            from repro.engine.driver import EngineMttkrp
+        # Imported here, not at module level: importing the engine while
+        # ``repro`` initializes measured ~20% more process CPU per call on
+        # the threads-sharded mttkrp-delicious bench workload (2-vCPU VM).
+        from repro.engine.driver import EngineMttkrp
 
-            mttkrp_engine = EngineMttkrp(
-                tensor, config.mttkrp_format, config.engine,
-                events=ctx.events if ctx is not None else None,
-                injector=injector,
-            )
-        else:
-            mttkrp_engine = _ConcreteMttkrp(tensor, config.mttkrp_format)
+        mttkrp_engine = EngineMttkrp(
+            tensor, config.mttkrp_format, config.engine,
+            events=ctx.events if ctx is not None else None,
+            injector=injector,
+        )
         if checkpoint is not None:
             factors = [np.array(f, dtype=np.float64) for f in checkpoint.factors]
             weights = np.array(checkpoint.weights, dtype=np.float64)
@@ -335,11 +302,10 @@ def _cstf_run(tensor, config: CstfConfig, tel) -> CstfResult:
     # update result and rescale it by the column norms instead of running a
     # separate norm pass. λ² is exactly diag(G) under normalize="2", so the
     # norm computation comes for free; numerically equivalent but not
-    # bit-identical to the seed path, hence opt-in and disabled under fault
+    # bit-identical to the norm pass, hence opt-in and disabled under fault
     # injection (an injected factor would desynchronize the cached Gram).
     gram_rescale = (
         not analytic
-        and config.engine is not None
         and config.engine.gram_rescale
         and config.normalize == "2"
         and injector is None

@@ -1,14 +1,15 @@
 """Host execution engine: plan cache, batched MTTKRP, sharded execution.
 
-The engine makes the *concrete* NumPy hot paths fast without touching the
-simulated machine model: per-tensor execution plans cache everything the
-seed kernels recompute per call (sort permutations, segment offsets,
-format conversions), execution is cache-blocked and optionally sharded
+The engine is the MTTKRP path of every concrete cSTF run, fast without
+touching the simulated machine model: per-tensor execution plans cache
+everything the per-format kernels of :mod:`repro.kernels` recompute per
+call (sort permutations, segment offsets, format conversions), execution is cache-blocked and optionally sharded
 across threads, and the all-mode batched driver shares factor-row gathers
 when one set of factors serves every mode. See docs/PERFORMANCE.md.
 
-Enable per run via ``CstfConfig(engine="on" | "sharded" | EngineConfig(...))``
-or on the CLI with ``repro factorize --engine on``.
+Tune it per run via ``CstfConfig(engine="on" | "sharded" | "processes" |
+EngineConfig(...))`` (default ``"on"``: cached serial execution) or on the
+CLI with ``repro factorize --engine sharded``.
 """
 
 from repro.engine.backends import (
@@ -21,7 +22,6 @@ from repro.engine.config import EngineConfig, resolve_engine
 from repro.engine.driver import (
     EngineMttkrp,
     PlanBuildError,
-    PreparedFactors,
     engine_mttkrp,
 )
 from repro.engine.execute import (
@@ -29,7 +29,6 @@ from repro.engine.execute import (
     run_shards,
     run_stream,
     sharded_segment_accumulate,
-    shutdown_pools,
 )
 from repro.engine.plan import MttkrpPlan, PlanCache, SegmentStream, get_plan_cache
 from repro.engine.plan_store import PlanStore, store_key
@@ -40,7 +39,6 @@ __all__ = [
     "ExecutionBackend",
     "get_backend",
     "shutdown_backends",
-    "shutdown_pools",
     "PlanStore",
     "store_key",
     "MttkrpPlan",
@@ -50,7 +48,6 @@ __all__ = [
     "engine_mttkrp",
     "EngineMttkrp",
     "PlanBuildError",
-    "PreparedFactors",
     "all_mode_krp_rows",
     "run_plan",
     "run_shards",

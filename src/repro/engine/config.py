@@ -1,10 +1,11 @@
 """Configuration of the host execution engine (plan cache + sharding).
 
-The engine accelerates the *concrete* NumPy hot paths of a cSTF run; it
-never changes what the simulated machine model charges, so enabling it
-alters host wall-clock only, not the reported device timelines. Apart from
-the explicitly opt-in ``gram_rescale``, every engine path is bit-identical
-to the seed kernels (same summation order, same multiply order).
+The engine runs every concrete MTTKRP of a cSTF run; it never changes
+what the simulated machine model charges, so its knobs alter host
+wall-clock only, not the reported device timelines. Apart from the
+explicitly opt-in ``gram_rescale``, every engine path is bit-identical to
+the per-format kernels of :mod:`repro.kernels` (same summation order, same
+multiply order), which stay in the library as the reference oracle.
 """
 
 from __future__ import annotations
@@ -119,19 +120,22 @@ class EngineConfig:
         rank-one λ-rescale (``G(H/λ) = G(H)/(λλᵀ)``) instead of a separate
         column-norm pass after normalization. Requires ``normalize="2"``
         (λ² is exactly ``diag(G)``). Opt-in: the rescaled Gram is
-        numerically equivalent but *not* bit-identical to the seed path,
-        so it is excluded from the engine's rtol=0 guarantee.
+        numerically equivalent but *not* bit-identical to the norm-pass
+        path, so it is excluded from the engine's rtol=0 guarantee.
     max_tensors:
         Plan-cache capacity in tensors (LRU eviction). Each cached tensor
         pins its plans, cached format conversions, and a strong reference
-        to the tensor itself.
+        to the tensor itself. Concrete ``cstf`` runs use the process-wide
+        cache (:func:`~repro.engine.plan.get_plan_cache`), whose capacity is
+        its own ``PlanCache.max_tensors`` (16); this field does not resize
+        it.
     validate:
         Plan staleness detection per lookup: ``"cheap"`` (default; shape,
         nnz, and a 16-point sampled fingerprint of indices/values),
         ``"full"`` (content hash of all bytes — O(nnz) per lookup), or
-        ``"off"`` (object identity only). In-place mutations that dodge
-        the cheap probe require an explicit
-        :meth:`~repro.engine.plan.PlanCache.invalidate`.
+        ``"off"`` (object identity only). The cheap probe can miss an
+        in-place edit of ``tensor.values`` or ``tensor.indices``; call
+        ``get_plan_cache().invalidate(tensor)`` after one.
     """
 
     chunk: int = 4096
@@ -192,27 +196,31 @@ def default_shards() -> int:
     return max(2, min(8, os.cpu_count() or 2))
 
 
-def resolve_engine(setting) -> EngineConfig | None:
-    """Normalize a ``CstfConfig.engine`` setting to an EngineConfig or None.
+def resolve_engine(setting) -> EngineConfig:
+    """Normalize a ``CstfConfig.engine`` setting to an EngineConfig.
 
-    Accepted: ``None``/``False``/``"off"`` (engine disabled), ``True``/
-    ``"on"``/``"cached"`` (cached serial execution), ``"sharded"`` (cached +
-    sharded across :func:`default_shards` workers), ``"processes"``
-    (sharded across isolated worker processes with crash recovery), a dict
-    of :class:`EngineConfig` fields, or an :class:`EngineConfig` instance.
+    Accepted: ``None``/``True``/``"on"``/``"cached"`` (cached serial
+    execution, the default), ``"sharded"`` (cached + sharded across
+    :func:`default_shards` workers), ``"processes"`` (sharded across
+    isolated worker processes with crash recovery), a dict of
+    :class:`EngineConfig` fields, or an :class:`EngineConfig` instance.
+    ``False``/``"off"`` are rejected: the engine is the only concrete
+    MTTKRP path, the uncached seed path was removed.
     """
-    if setting is None or setting is False:
-        return None
+    if setting is None or setting is True:
+        return EngineConfig()
     if isinstance(setting, EngineConfig):
         return setting
     if isinstance(setting, dict):
         return EngineConfig(**setting)
-    if setting is True:
-        return EngineConfig()
+    if setting is False or (isinstance(setting, str) and setting.lower() == "off"):
+        raise ValueError(
+            f"engine={setting!r} is no longer accepted: the seed-kernel MTTKRP "
+            f"path was removed and the engine is always on; use None or 'on' "
+            f"for cached serial execution"
+        )
     if isinstance(setting, str):
         low = setting.lower()
-        if low == "off":
-            return None
         if low in ("on", "cached"):
             return EngineConfig()
         if low == "sharded":
@@ -220,6 +228,6 @@ def resolve_engine(setting) -> EngineConfig | None:
         if low == "processes":
             return EngineConfig(shards=default_shards(), backend="processes")
     raise ValueError(
-        f"engine must be None/'off', 'on'/'cached', 'sharded', 'processes', "
+        f"engine must be None/'on'/'cached', 'sharded', 'processes', "
         f"a dict of EngineConfig fields, or an EngineConfig, got {setting!r}"
     )

@@ -1,12 +1,12 @@
 """Format dispatch for the engine: cached, chunked, optionally sharded MTTKRP.
 
-:func:`engine_mttkrp` is the engine's analogue of the per-format seed
-kernels. Per format:
+:func:`engine_mttkrp` is the engine's analogue of the per-format kernels
+of :mod:`repro.kernels`. Per format:
 
 - ``coo`` — one cached plan per mode over the canonical COO order;
   bitwise identical to :func:`~repro.kernels.mttkrp_coo.mttkrp_coo`.
 - ``alto`` — the ALTO linearization and its decoded coordinate matrix are
-  cached once per tensor (the seed delinearizes per call); plans are built
+  cached once per tensor (the kernel delinearizes per call); plans are built
   over the ALTO nonzero order, so the summation order — and the bits —
   match :func:`~repro.kernels.mttkrp_alto.mttkrp_alto`.
 - ``blco`` — the BLCO conversion and per-block decoded plans are cached;
@@ -19,8 +19,7 @@ kernels. Per format:
   :func:`~repro.kernels.mttkrp_hicoo.mttkrp_hicoo`.
 - ``csf`` — per-root mode trees are cached once per tensor and handed to
   the unchanged :func:`~repro.kernels.mttkrp_csf.mttkrp_csf` tree walk
-  (the seed driver re-roots through COO when the cached tree's root
-  differs; the cache keeps all roots).
+  (one tree per root mode, so no mode re-roots through COO).
 
 Sharding applies to the ``coo`` and ``alto`` plan paths.
 
@@ -35,10 +34,12 @@ The ``corrupt_plan`` chaos fault (:class:`~repro.resilience.faults
 .FaultInjector`) deliberately corrupts the cached plans before lookup to
 prove this self-heal fires.
 
-:class:`EngineMttkrp` is the drop-in replacement for the cstf driver's
-``_ConcreteMttkrp``: it charges the *identical* simulated device cost
-(:func:`~repro.machine.analytic.charge_mttkrp`), so engine-enabled runs
-report the same device timelines — only the host wall-clock changes.
+:class:`EngineMttkrp` is the cstf driver's one concrete MTTKRP path. It
+charges the simulated device cost from the tensor statistics
+(:func:`~repro.machine.analytic.charge_mttkrp`, the same call analytic runs
+make), so device timelines never depend on the engine knobs — only the host
+wall-clock does. The per-format kernels of :mod:`repro.kernels` stay in the
+library as the bit-exact reference the engine is tested against.
 """
 
 from __future__ import annotations
@@ -50,13 +51,14 @@ import numpy as np
 from repro.engine.config import EngineConfig
 from repro.engine.execute import run_plan
 from repro.engine.plan import PlanCache, get_plan_cache
-from repro.kernels.mttkrp import check_factors
+from repro.kernels.mttkrp import check_factors, mttkrp_kernel_span
+from repro.kernels.mttkrp_blco import record_block_balance
 from repro.kernels.mttkrp_csf import mttkrp_csf
 from repro.machine.analytic import TensorStats, charge_mttkrp
 from repro.resilience.events import PLAN_REPAIRED
 from repro.utils.validation import check_axis
 
-__all__ = ["PreparedFactors", "PlanBuildError", "engine_mttkrp", "EngineMttkrp"]
+__all__ = ["PlanBuildError", "engine_mttkrp", "EngineMttkrp"]
 
 
 class PlanBuildError(RuntimeError):
@@ -66,35 +68,6 @@ class PlanBuildError(RuntimeError):
     done, so the caller (typically :class:`~repro.resilience.supervisor
     .RunSupervisor`) can safely fall back to the plain COO format.
     """
-
-
-class PreparedFactors:
-    """Cast factors to float64 once per factor object, not once per call.
-
-    The seed kernels run ``np.asarray(f, dtype=np.float64)`` per factor per
-    call; for float64 inputs that is a cheap no-copy, but for anything else
-    it materializes a fresh copy every mode of every iteration. This memo
-    keys on object identity, so a factor array is converted exactly once
-    for as long as the driver sees the same object.
-    """
-
-    def __init__(self, max_entries: int = 256):
-        self.max_entries = max_entries
-        self._memo: dict[int, tuple[object, np.ndarray]] = {}
-
-    def __call__(self, factors) -> list[np.ndarray]:
-        return [self._one(f) for f in factors]
-
-    def _one(self, f) -> np.ndarray:
-        key = id(f)
-        hit = self._memo.get(key)
-        if hit is not None and hit[0] is f:
-            return hit[1]
-        arr = np.asarray(f, dtype=np.float64)
-        if len(self._memo) >= self.max_entries:
-            self._memo.clear()
-        self._memo[key] = (f, arr)
-        return arr
 
 
 def _build_alto(tensor):
@@ -160,6 +133,8 @@ def _dispatch(tensor, factors, fmats, mode, fmt, cfg, cache, rank, faults, event
     if fmt in ("blco", "hicoo"):
         build = _build_blco if fmt == "blco" else _build_hicoo
         blocked = _convert(cache, tensor, fmt, build, cfg.validate)
+        if fmt == "blco" and tensor.nnz:
+            record_block_balance(blocked)
         out = np.zeros((tensor.shape[mode], rank), dtype=np.float64)
         serial = EngineConfig(chunk=cfg.chunk, shards=1)
         for plan in cache.block_plans(
@@ -172,7 +147,9 @@ def _dispatch(tensor, factors, fmats, mode, fmt, cfg, cache, rank, faults, event
 
     if fmt == "csf":
         forest = _convert(cache, tensor, "csf", _build_csf_forest, cfg.validate)
-        return mttkrp_csf(forest[mode], factors, mode)
+        # The undecorated tree walk: engine_mttkrp already opened this
+        # call's mttkrp_kernel span.
+        return mttkrp_csf.__wrapped__(forest[mode], factors, mode)
 
     raise ValueError(f"unknown engine format {fmt!r}")
 
@@ -184,7 +161,6 @@ def engine_mttkrp(
     fmt: str = "coo",
     cfg: EngineConfig | None = None,
     cache: PlanCache | None = None,
-    prepare: PreparedFactors | None = None,
     *,
     faults=None,
     events=None,
@@ -195,6 +171,11 @@ def engine_mttkrp(
     the chaos paths: ``corrupt_plan`` draws corrupt the cached plans before
     lookup, and shard-level faults ride into the sharded executor. Every
     recovery is logged to ``events`` when given.
+
+    Telemetry matches the per-format kernels: each call is one
+    ``mttkrp_kernel`` span and one ``mttkrp.calls.<fmt>`` count, and BLCO
+    calls gauge the block balance (``mttkrp.blco.blocks`` /
+    ``mttkrp.blco.block_imbalance``).
     """
     cfg = cfg if cfg is not None else EngineConfig()
     # `is not None`, not truthiness: an empty PlanCache has len() == 0.
@@ -203,9 +184,7 @@ def engine_mttkrp(
     if fmt not in _ENGINE_FORMATS:
         raise ValueError(f"unknown engine format {fmt!r}")
     rank = check_factors(tensor.shape, factors, mode)
-    fmats = prepare(factors) if prepare is not None else [
-        np.asarray(f, dtype=np.float64) for f in factors
-    ]
+    fmats = [np.asarray(f, dtype=np.float64) for f in factors]
 
     if cfg.plan_store is not None and (
         cache.store is None or os.fspath(cache.store.root) != cfg.plan_store
@@ -246,44 +225,46 @@ def engine_mttkrp(
         if cache.store.corrupt(_skey(_content_hash(tensor), fmt, mode)):
             cache.drop_plans(tensor)
 
-    try:
-        return _dispatch(
-            tensor, factors, fmats, mode, fmt, cfg, cache, rank, faults, events
-        )
-    except PlanBuildError:
-        raise
-    except Exception as exc:
-        # Replan-once self-heal: cached state that passed (or dodged) the
-        # integrity probe still blew up in execution — e.g. an out-of-range
-        # coordinate from a corrupted plan. Evict everything cached for
-        # this tensor and re-dispatch from fresh plans; a second failure is
-        # a genuine bug and propagates.
-        cache.invalidate(tensor)
-        cache.record_repair(
-            f"execution over cached {fmt} plans failed "
-            f"({type(exc).__name__}); entry evicted and replanned"
-        )
-        if events is not None:
-            events.record(
-                PLAN_REPAIRED, "MTTKRP", mode=mode,
-                detail=f"{fmt} execution failed ({type(exc).__name__}: {exc}); "
-                       f"cache entry evicted, replanned, and re-executed",
-                fmt=fmt,
+    with mttkrp_kernel_span(fmt, mode):
+        try:
+            return _dispatch(
+                tensor, factors, fmats, mode, fmt, cfg, cache, rank, faults, events
             )
-        return _dispatch(
-            tensor, factors, fmats, mode, fmt, cfg, cache, rank, faults, events
-        )
+        except PlanBuildError:
+            raise
+        except Exception as exc:
+            # Replan-once self-heal: cached state that passed (or dodged) the
+            # integrity probe still blew up in execution — e.g. an
+            # out-of-range coordinate from a corrupted plan. Evict everything
+            # cached for this tensor and re-dispatch from fresh plans; a
+            # second failure is a genuine bug and propagates.
+            cache.invalidate(tensor)
+            cache.record_repair(
+                f"execution over cached {fmt} plans failed "
+                f"({type(exc).__name__}); entry evicted and replanned"
+            )
+            if events is not None:
+                events.record(
+                    PLAN_REPAIRED, "MTTKRP", mode=mode,
+                    detail=f"{fmt} execution failed ({type(exc).__name__}: "
+                           f"{exc}); cache entry evicted, replanned, and "
+                           f"re-executed",
+                    fmt=fmt,
+                )
+            return _dispatch(
+                tensor, factors, fmats, mode, fmt, cfg, cache, rank, faults, events
+            )
 
 
 class EngineMttkrp:
-    """Drop-in for the cstf driver's ``_ConcreteMttkrp``, engine-backed.
+    """The cstf driver's concrete MTTKRP: engine execution plus cost.
 
-    Keeps the seed's simulated cost charging (same
-    :func:`~repro.machine.analytic.charge_mttkrp` call, same statistics) so
-    the simulated timelines of engine and seed runs are bit-identical;
-    only the host-side execution differs. ``events``/``injector`` thread
-    the run's resilience context into the execution layer so shard
-    recoveries and plan repairs land on ``CstfResult.events``.
+    Charges the simulated device cost from the tensor statistics (the
+    :func:`~repro.machine.analytic.charge_mttkrp` call analytic runs make
+    too), so the simulated timeline never depends on the host-side
+    execution knobs. ``events``/``injector`` thread the run's resilience
+    context into the execution layer so shard recoveries and plan repairs
+    land on ``CstfResult.events``.
     """
 
     def __init__(
@@ -302,7 +283,6 @@ class EngineMttkrp:
         self.stats = TensorStats.from_coo(tensor)
         self.ndim = tensor.ndim
         self.tensor = tensor
-        self.prepare = PreparedFactors()
         self.events = events
         self.injector = injector
 
@@ -310,5 +290,5 @@ class EngineMttkrp:
         charge_mttkrp(ex, self.stats, rank, mode, self.fmt)
         return engine_mttkrp(
             self.tensor, factors, mode, self.fmt, self.cfg, self.cache,
-            self.prepare, faults=self.injector, events=self.events,
+            faults=self.injector, events=self.events,
         )

@@ -1,7 +1,7 @@
 """Plan execution: chunked segment reduction, serial or sharded.
 
-The hot loop is the same fused gather→multiply→reduceat the seed kernels
-perform, restructured around a cached :class:`~repro.engine.plan.MttkrpPlan`
+The hot loop is the same fused gather→multiply→reduceat the per-format
+kernels of :mod:`repro.kernels` perform, restructured around a cached :class:`~repro.engine.plan.MttkrpPlan`
 in two ways:
 
 - **No per-call sort or gather.** The plan's stream is already presorted
@@ -13,7 +13,7 @@ in two ways:
   instead of streaming an ``(nnz, R)`` matrix through memory three times.
 
 Because chunk and shard boundaries never split a segment, and the factor
-multiplies happen in the seed's ascending-mode order, every path here is
+multiplies happen in the kernels' ascending-mode order, every path here is
 bitwise identical to the uncached kernels (IEEE multiplication and
 ``np.add.reduceat`` see the same operands in the same order; sharded
 private accumulators cover disjoint rows, so the tree reduce adds exact
@@ -44,7 +44,6 @@ __all__ = [
     "run_plan",
     "run_shards",
     "sharded_segment_accumulate",
-    "shutdown_pools",
 ]
 
 
@@ -101,19 +100,6 @@ def run_shards(
         streams, fmats, mode, out_rows, rank, cfg,
         faults=faults, events=events, plan_ref=plan_ref,
     )
-
-
-def shutdown_pools() -> None:
-    """Tear down every live backend's workers (thread pools, processes).
-
-    Kept as the historically-named lifecycle hook for the old module-global
-    thread pools; delegates to
-    :func:`repro.engine.backends.shutdown_backends`, which is also run
-    ``atexit``. Safe to call at any point — backends respawn lazily.
-    """
-    from repro.engine.backends import shutdown_backends
-
-    shutdown_backends()
 
 
 def run_plan(

@@ -1,6 +1,6 @@
 """Per-tensor MTTKRP execution plans and the plan cache.
 
-Every segment-based MTTKRP call in the seed kernels recomputes the same
+Every segment-based MTTKRP call in :mod:`repro.kernels` recomputes the same
 preprocessing per call: the stable sort permutation of the nonzeros by the
 target mode, the segment start offsets, the target rows, and (for the
 linearized formats) the format conversion itself. All of that depends only
@@ -435,8 +435,8 @@ class PlanCache:
         """The cached format conversion for *tensor*; ``build(tensor)`` on miss.
 
         Used for ALTO/BLCO linearizations, CSF mode trees, and the decoded
-        ALTO coordinate matrix — every once-per-tensor derivation that the
-        seed path redoes once per ``cstf`` call.
+        ALTO coordinate matrix — every once-per-tensor derivation, kept
+        across ``cstf`` calls over the same tensor.
         """
         entry = self._entry(tensor, validate)
         tel = current_telemetry()
@@ -563,7 +563,7 @@ class PlanCache:
         return total
 
 
-#: Process-wide default cache, shared by every engine-enabled cstf run so
+#: Process-wide default cache, shared by every concrete cstf run so
 #: plans survive across calls on the same tensor (the AUNTF/streaming
 #: pattern: many factorizations of one tensor).
 _DEFAULT_CACHE = PlanCache()

@@ -20,25 +20,35 @@ from repro.tensor.dense import DenseTensor, matricize
 from repro.tensor.hicoo import HicooTensor
 from repro.utils.validation import check_axis, require
 
-__all__ = ["khatri_rao", "mttkrp_dense", "mttkrp", "check_factors", "traced_mttkrp"]
+__all__ = [
+    "khatri_rao", "mttkrp_dense", "mttkrp", "check_factors", "traced_mttkrp",
+    "mttkrp_kernel_span",
+]
+
+
+def mttkrp_kernel_span(fmt: str, mode: int):
+    """Telemetry of one MTTKRP kernel call, shared by every MTTKRP path.
+
+    Bumps the ``mttkrp.calls.<fmt>`` counter and returns the host span
+    (``with mttkrp_kernel_span(fmt, mode): ...``) named ``mttkrp_kernel``,
+    carrying the storage format and target mode. With no ambient telemetry
+    session this is two attribute lookups and a no-op context — effectively
+    free next to the kernel body.
+    """
+    tel = current_telemetry()
+    tel.counter(f"mttkrp.calls.{fmt}")
+    return tel.span("mttkrp_kernel", format=fmt, mode=mode)
 
 
 def traced_mttkrp(fmt: str):
-    """Shared telemetry decorator for the per-format MTTKRP kernels.
-
-    Wraps a ``kernel(tensor, factors, mode)`` function in a host span named
-    ``mttkrp_kernel`` carrying the storage format and target mode, and
-    bumps the ``mttkrp.calls.<fmt>`` counter. With no ambient telemetry
-    session the wrapper is two attribute lookups and a no-op context —
-    effectively free next to the kernel body.
-    """
+    """Decorate a per-format ``kernel(tensor, factors, mode)`` function
+    with :func:`mttkrp_kernel_span`; the undecorated kernel stays reachable
+    as ``__wrapped__``."""
 
     def decorate(fn):
         @functools.wraps(fn)
         def wrapper(tensor, factors, mode, *args, **kwargs):
-            tel = current_telemetry()
-            with tel.span("mttkrp_kernel", format=fmt, mode=mode):
-                tel.counter(f"mttkrp.calls.{fmt}")
+            with mttkrp_kernel_span(fmt, mode):
                 return fn(tensor, factors, mode, *args, **kwargs)
 
         return wrapper

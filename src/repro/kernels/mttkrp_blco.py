@@ -18,15 +18,16 @@ from repro.obs import current_telemetry
 from repro.tensor.blco import BlcoTensor
 from repro.utils.validation import check_axis
 
-__all__ = ["mttkrp_blco"]
+__all__ = ["mttkrp_blco", "record_block_balance"]
 
 
-def _record_block_balance(tensor: BlcoTensor) -> None:
+def record_block_balance(tensor: BlcoTensor) -> None:
     """Gauge the block-count and nnz load imbalance for the run doctor.
 
     Imbalance is max/mean nonzeros per block — the GPU figure of merit,
     since the fattest block bounds every launch. Computed only when a
     telemetry session is live; the kernel stays gauge-free otherwise.
+    Called per MTTKRP by this kernel and by the engine's BLCO path.
     """
     tel = current_telemetry()
     if not tel.enabled or not tensor.blocks:
@@ -46,7 +47,7 @@ def mttkrp_blco(tensor: BlcoTensor, factors, mode: int) -> np.ndarray:
     out = np.zeros((tensor.shape[mode], rank), dtype=np.float64)
     if tensor.nnz == 0:
         return out
-    _record_block_balance(tensor)
+    record_block_balance(tensor)
 
     fmats = [np.asarray(f, dtype=np.float64) for f in factors]
     for block in tensor.blocks:

@@ -153,60 +153,6 @@ def _fig7_group(device: str, rank: int, inner_iters: int, datasets) -> dict:
     }
 
 
-def _fig4wall_group(rank: int, names, target_nnz: int, repeats: int) -> dict:
-    """Measured host wall-clock: engine (plan cache + chunked execution)
-    vs the seed kernels, full cSTF runs on the Figure-4 subset.
-
-    Unlike every other group these numbers are *real timings* — machine-
-    dependent and noisy — so the group carries a wide group-level
-    ``tolerance`` (copied into its blessed baseline) and the determinism
-    tests exclude it. The PR 4 acceptance gate is
-    ``geomean.engine_speedup >= 2.0``.
-    """
-    import time
-
-    from repro.core.config import CstfConfig
-    from repro.core.cstf import cstf
-    from repro.data.frostt import get_dataset
-
-    def best_of(tensor, engine) -> float:
-        config = CstfConfig(
-            rank=rank, max_iters=3, update="cuadmm", device="a100",
-            mttkrp_format="coo", compute_fit=False, telemetry="off",
-            update_params={"inner_iters": 1}, engine=engine,
-        )
-        best = float("inf")
-        for _ in range(max(1, repeats)):
-            t0 = time.perf_counter()
-            cstf(tensor, config)
-            best = min(best, time.perf_counter() - t0)
-        return best
-
-    metrics: dict[str, float] = {}
-    speedups = []
-    for name in sorted(names):
-        tensor = get_dataset(name).load_scaled(seed=0, target_nnz=target_nnz)
-        speedup = best_of(tensor, None) / best_of(tensor, "on")
-        metrics[f"{name}.engine_speedup"] = speedup
-        speedups.append(speedup)
-    metrics["geomean.engine_speedup"] = geometric_mean(speedups)
-    return {
-        "key": baseline_key("fig4wall", "host", rank, "coo"),
-        "figure": "fig4wall",
-        "meta": {
-            "device": "host",
-            "rank": rank,
-            "format": "coo",
-            "datasets": sorted(names),
-            "target_nnz": target_nnz,
-            "repeats": repeats,
-            "measured": "wall_clock",
-        },
-        "metrics": metrics,
-        "tolerance": 0.5,
-    }
-
-
 def _shm_dispatch_group(
     rank: int, shards: int, nnz: int, repeats: int
 ) -> dict:
@@ -214,9 +160,9 @@ def _shm_dispatch_group(
 
     A transport-dominated workload — large factor matrices, modest nnz —
     so the timings isolate what each dispatch *ships* (pickled arrays over
-    pipes vs shared-memory segment names), not what it computes. Like
-    ``fig4wall`` these are real machine-dependent timings, so the group
-    carries a wide ``tolerance`` and is opt-in (``shm_bench=True`` /
+    pipes vs shared-memory segment names), not what it computes. These
+    are real machine-dependent timings, so the group carries a wide
+    ``tolerance`` and is opt-in (``shm_bench=True`` /
     ``--shm-bench``); its blessed baseline is marked ``optional`` so
     default runs that skip the group do not trip the missing-group check.
     On hosts without POSIX shared memory both timings take the pipe path
@@ -281,10 +227,6 @@ def run_bench_suite(
     datasets=DEFAULT_DATASETS,
     fig4_names=("nips", "flickr"),
     fig4_device: str = "h100",
-    wall: bool = True,
-    wall_names=("nips", "flickr"),
-    wall_nnz: int = 80_000,
-    wall_repeats: int = 2,
     shm_bench: bool = False,
     shm_shards: int = 4,
     shm_nnz: int = 50_000,
@@ -295,19 +237,19 @@ def run_bench_suite(
     All simulated numbers come from the roofline model, so those groups are
     deterministic for a given (device, rank, inner_iters, datasets) tuple —
     timestamps are the *caller's* concern (``scripts/run_bench_suite.py``
-    stamps the output filename, not the content). The one exception is the
-    ``fig4wall`` group (``wall=True``): measured host wall-clock of the
-    engine vs the seed kernels, nondeterministic by nature and tagged with
-    its own wide ``tolerance``. ``shm_bench=True`` (opt-in: it spawns a
-    worker-process pool) appends the measured ``shmdispatch`` group —
-    processes-backend dispatch overhead, pipe vs shared-memory transport.
+    stamps the output filename, not the content). The one exception is
+    ``shm_bench=True`` (opt-in: it spawns a worker-process pool), which
+    appends the measured ``shmdispatch`` group — processes-backend dispatch
+    overhead, pipe vs shared-memory transport, nondeterministic by nature
+    and tagged with its own wide ``tolerance``. Host wall-clock of whole
+    cSTF runs is the ``bench/`` harness's job (``BENCHMARK.json``).
     """
     datasets = tuple(datasets)
-    groups = [_fig4_group(fig4_device, rank, fig4_names)]
-    if wall:
-        groups.append(_fig4wall_group(rank, wall_names, wall_nnz, wall_repeats))
-    groups.append(_fig5_group(device, rank, inner_iters, datasets))
-    groups.append(_fig7_group(device, rank, inner_iters, datasets))
+    groups = [
+        _fig4_group(fig4_device, rank, fig4_names),
+        _fig5_group(device, rank, inner_iters, datasets),
+        _fig7_group(device, rank, inner_iters, datasets),
+    ]
     if shm_bench:
         groups.append(
             _shm_dispatch_group(rank, shm_shards, shm_nnz, shm_repeats)
@@ -323,10 +265,6 @@ def run_bench_suite(
             "datasets": list(datasets),
             "fig4_names": list(fig4_names),
             "fig4_device": fig4_device,
-            "wall": bool(wall),
-            "wall_names": list(wall_names) if wall else [],
-            "wall_nnz": wall_nnz,
-            "wall_repeats": wall_repeats,
             "shm_bench": bool(shm_bench),
             "shm_shards": shm_shards,
             "shm_nnz": shm_nnz,
@@ -353,7 +291,7 @@ def bench_to_baselines(doc, tolerance: float | None = None) -> list[dict]:
             "meta": dict(group["meta"], figure=group["figure"]),
             "metrics": dict(group["metrics"]),
         }
-        # A group-level tolerance (e.g. fig4wall's wall-clock band) beats
+        # A group-level tolerance (e.g. shmdispatch's wall-clock band) beats
         # the caller's blanket override — it encodes the group's noise.
         tol = group.get("tolerance", tolerance)
         if tol is not None:

@@ -6,7 +6,7 @@ with seeded exponential backoff plus jitter; when retries at the current
 execution tier are exhausted the supervisor steps down the degradation
 ladder instead of giving up::
 
-    process engine → sharded engine → chunked engine → serial engine → seed kernels
+    process engine → sharded engine → chunked engine → serial engine
 
 (the ``process engine`` rung exists only when the run starts on the
 ``processes`` execution backend; stepping down re-runs the same sharded
@@ -86,7 +86,7 @@ class SupervisorConfig:
     ----------
     max_retries:
         Retries *per ladder rung* before stepping down (``0`` = degrade on
-        the first failure). Once the bottom rung (seed kernels) exhausts
+        the first failure). Once the bottom rung (serial engine) exhausts
         its retries, the supervisor raises :class:`ResilienceError`.
     deadline:
         Total wall-clock budget in seconds across all attempts (``0``
@@ -137,30 +137,26 @@ class SupervisorConfig:
 def _ladder(engine):
     """Degradation rungs from a resolved engine config, top tier first.
 
-    Each rung is ``(name, engine_config_or_None)``; the first rung is the
-    configuration the run starts at.
+    Each rung is ``(name, engine_config)``; the first rung is the
+    configuration the run starts at and the last is the serial engine.
     """
     from repro.engine.config import EngineConfig
 
     rungs = []
-    if engine is not None:
-        if getattr(engine, "backend", "threads") == "processes" and engine.shards > 1:
-            # Top rung: isolated worker processes. One step down is the
-            # same sharded configuration on in-process threads — loses
-            # crash isolation, keeps the parallel numerics bit-identical.
-            rungs.append(("process engine", engine))
-            engine = replace(engine, backend="threads")
-        if engine.shards > 1:
-            rungs.append(("sharded engine", engine))
-            chunk = engine.chunk if engine.chunk > 0 else EngineConfig().chunk
-            rungs.append(("chunked engine", replace(engine, shards=1, chunk=chunk)))
-            rungs.append(("serial engine", replace(engine, shards=1, chunk=0)))
-        elif engine.chunk > 0:
-            rungs.append(("chunked engine", engine))
-            rungs.append(("serial engine", replace(engine, shards=1, chunk=0)))
-        else:
-            rungs.append(("serial engine", engine))
-    rungs.append(("seed kernels", None))
+    if engine.backend == "processes" and engine.shards > 1:
+        # Top rung: isolated worker processes. One step down is the same
+        # sharded configuration on in-process threads — loses crash
+        # isolation, keeps the parallel numerics bit-identical.
+        rungs.append(("process engine", engine))
+        engine = replace(engine, backend="threads")
+    if engine.shards > 1:
+        rungs.append(("sharded engine", engine))
+        chunk = engine.chunk if engine.chunk > 0 else EngineConfig().chunk
+        engine = replace(engine, shards=1, chunk=chunk)
+    if engine.chunk > 0:
+        rungs.append(("chunked engine", engine))
+        engine = replace(engine, chunk=0)
+    rungs.append(("serial engine", engine))
     return rungs
 
 
@@ -354,11 +350,7 @@ class RunSupervisor:
                         self.sleep(delay)
                     continue
                 if self.sup.degrade and rung + 1 < len(rungs):
-                    pressure = (
-                        isinstance(exc, MemoryError)
-                        and engine is not None
-                        and getattr(engine, "shards", 1) > 2
-                    )
+                    pressure = isinstance(exc, MemoryError) and engine.shards > 2
                     if pressure:
                         # Memory pressure: before abandoning this tier,
                         # retry it with half the workers — fewer shards

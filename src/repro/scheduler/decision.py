@@ -132,7 +132,7 @@ class ExecutionPlan:
 
     host_shards: int = 1
     """Engine worker shards assumed for the CPU MTTKRP estimates (see
-    :mod:`repro.engine`); 1 = the serial seed path."""
+    :mod:`repro.engine`); 1 = serial execution."""
 
     @property
     def is_heterogeneous(self) -> bool:

@@ -83,8 +83,9 @@ class StreamingCstf:
         ``"auto"`` (join an ambient :func:`~repro.obs.telemetry_session`,
         else off), ``"off"``/``"on"``, or a ``Telemetry`` instance.
     engine:
-        Host execution engine setting (same values as
-        ``CstfConfig.engine``). With ``shards > 1`` the per-slice history
+        Host execution engine setting: ``None``/``"off"`` (default; serial
+        history accumulate, ``self.engine`` is ``None``) or any
+        ``CstfConfig.engine`` value. With ``shards > 1`` the per-slice history
         accumulation runs through the engine's fault-tolerant sharded
         segment reduction (:func:`~repro.engine.execute
         .sharded_segment_accumulate`) — bit-identical to the serial seed
@@ -121,7 +122,9 @@ class StreamingCstf:
             "inner_iters": int(inner_iters),
             "engine": engine if isinstance(engine, str) else None,
         }
-        self.engine = resolve_engine(engine)
+        self.engine = (
+            None if engine is None or engine == "off" else resolve_engine(engine)
+        )
         self.executor = Executor(device)
         self.update = get_update(
             update,

@@ -7,6 +7,7 @@ import pytest
 
 from repro.tensor.coo import SparseTensor
 from repro.tensor.synthetic import planted_sparse_cp, random_sparse
+from tests.kernel_oracle import kernel_oracle as _kernel_oracle
 
 
 @pytest.fixture
@@ -40,3 +41,11 @@ def factors4(small4, rng):
 def planted():
     """A genuinely low-rank sparse tensor plus its planted factors."""
     return planted_sparse_cp((22, 18, 14), rank=3, factor_sparsity=0.5, seed=11)
+
+
+@pytest.fixture
+def kernel_oracle():
+    """A context manager: ``cstf`` runs inside it compute every MTTKRP with
+    the per-format :mod:`repro.kernels` oracle instead of the engine (see
+    ``tests/kernel_oracle.py``)."""
+    return _kernel_oracle

@@ -17,7 +17,6 @@ from repro.engine import (
     resolve_engine,
     run_shards,
     shutdown_backends,
-    shutdown_pools,
 )
 from repro.engine.backends import BACKEND_NAMES
 from repro.engine.backends.base import tree_reduce
@@ -64,13 +63,6 @@ class TestRegistry:
         assert after is not before
         shutdown_backends()  # idempotent
         shutdown_backends()
-
-    def test_shutdown_pools_alias(self):
-        """The historical execute.shutdown_pools name keeps working and is
-        safe to call repeatedly."""
-        get_backend("threads")
-        shutdown_pools()
-        shutdown_pools()
 
 
 class TestConfig:
@@ -169,8 +161,11 @@ class TestCliFlags:
             ["factorize", "x.tns", "--rank", "2", *extra]
         )
 
-    def test_default_is_engine_off(self):
-        assert _engine_setting(self._args()) is None
+    def test_default_is_engine_on(self, capsys):
+        assert _engine_setting(self._args()) == "on"
+        with pytest.raises(SystemExit):
+            self._args("--engine", "off")
+        assert "invalid choice: 'off'" in capsys.readouterr().err
 
     def test_engine_string_passthrough(self):
         assert _engine_setting(self._args("--engine", "sharded")) == "sharded"

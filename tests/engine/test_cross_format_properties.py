@@ -13,27 +13,12 @@ from hypothesis import strategies as st
 
 from repro.engine import EngineConfig, PlanCache, engine_mttkrp
 from repro.kernels.mttkrp import mttkrp_dense
-from repro.kernels.mttkrp_alto import mttkrp_alto
-from repro.kernels.mttkrp_blco import mttkrp_blco
 from repro.kernels.mttkrp_coo import mttkrp_coo
-from repro.kernels.mttkrp_csf import mttkrp_csf
-from repro.tensor.alto import AltoTensor
-from repro.tensor.blco import BlcoTensor
 from repro.tensor.coo import SparseTensor
-from repro.tensor.csf import CsfTensor
 from repro.tensor.synthetic import random_sparse
+from tests.kernel_oracle import oracle_mttkrp
 
 FORMATS = ("coo", "alto", "blco", "csf")
-
-
-def _seed_mttkrp(tensor, factors, mode, fmt):
-    if fmt == "coo":
-        return mttkrp_coo(tensor, factors, mode)
-    if fmt == "alto":
-        return mttkrp_alto(AltoTensor.from_coo(tensor), factors, mode)
-    if fmt == "blco":
-        return mttkrp_blco(BlcoTensor.from_coo(tensor), factors, mode)
-    return mttkrp_csf(CsfTensor.from_coo(tensor, root_mode=mode), factors, mode)
 
 
 @st.composite
@@ -63,7 +48,7 @@ class TestCrossFormatProperty:
         serial = EngineConfig(chunk=8)
         sharded = EngineConfig(chunk=8, shards=3)
         for fmt in FORMATS:
-            seed = _seed_mttkrp(tensor, factors, mode, fmt)
+            seed = oracle_mttkrp(tensor, factors, mode, fmt)
             # Every format agrees with the dense oracle (floating error only).
             np.testing.assert_allclose(seed, oracle, rtol=1e-10, atol=1e-12,
                                        err_msg=fmt)
@@ -84,7 +69,7 @@ class TestEdgeShapes:
         t = random_sparse((1, 8, 6), nnz=20, seed=3)
         rng = np.random.default_rng(0)
         factors = [rng.random((d, 3)) for d in t.shape]
-        seed = _seed_mttkrp(t, factors, 0, fmt)
+        seed = oracle_mttkrp(t, factors, 0, fmt)
         got = engine_mttkrp(t, factors, 0, fmt, EngineConfig(shards=2), PlanCache())
         assert np.array_equal(got, seed)
 
@@ -97,7 +82,7 @@ class TestEdgeShapes:
         rng = np.random.default_rng(1)
         factors = [rng.random((d, 2)) for d in t.shape]
         for mode in range(t.ndim):
-            seed = _seed_mttkrp(t, factors, mode, fmt)
+            seed = oracle_mttkrp(t, factors, mode, fmt)
             got = engine_mttkrp(
                 t, factors, mode, fmt, EngineConfig(chunk=1), PlanCache()
             )

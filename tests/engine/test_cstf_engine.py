@@ -1,5 +1,6 @@
-"""Engine-enabled cSTF runs: bit-identity with the seed driver, plan-cache
-hit rates, telemetry counters, simulated-cost invariance, gram rescale."""
+"""cSTF runs through the engine: bit-identity with the per-format kernel
+oracle, plan-cache hit rates, telemetry counters, simulated-cost
+invariance, gram rescale."""
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from repro.core.config import CstfConfig
 from repro.core.cstf import cstf
 from repro.core.trace import PHASES
-from repro.engine import get_plan_cache
+from repro.engine import EngineConfig, get_plan_cache
 from repro.tensor.synthetic import random_sparse
 
 
@@ -35,21 +36,43 @@ def _assert_bit_equal(a, b):
 
 
 class TestBitIdentity:
+    """Engine runs against the per-format kernel oracle (rtol=0)."""
+
     @pytest.mark.parametrize("fmt", ["coo", "alto", "blco", "csf"])
-    def test_engine_matches_seed_per_format(self, tensor, fmt):
-        _assert_bit_equal(_run(tensor, None, fmt), _run(tensor, "on", fmt))
+    def test_engine_matches_seed_per_format(self, tensor, fmt, kernel_oracle):
+        with kernel_oracle():
+            reference = _run(tensor, "on", fmt)
+        _assert_bit_equal(reference, _run(tensor, "on", fmt))
 
     @pytest.mark.parametrize("fmt", ["coo", "alto"])
-    def test_sharded_matches_seed(self, tensor, fmt):
-        seed = _run(tensor, None, fmt)
+    def test_sharded_matches_seed(self, tensor, fmt, kernel_oracle):
+        with kernel_oracle():
+            reference = _run(tensor, "on", fmt)
         sharded = _run(tensor, {"shards": 3, "chunk": 512}, fmt)
-        _assert_bit_equal(seed, sharded)
+        _assert_bit_equal(reference, sharded)
 
-    def test_simulated_timeline_unchanged(self, tensor):
-        seed = _run(tensor, None)
+    @pytest.mark.procfaults
+    @pytest.mark.parametrize("fmt", ["coo", "alto"])
+    def test_processes_match_seed(self, tensor, fmt, kernel_oracle):
+        from repro.engine import shutdown_backends
+
+        with kernel_oracle():
+            reference = _run(tensor, "on", fmt, iters=3)
+        try:
+            procs = _run(
+                tensor, {"shards": 2, "chunk": 512, "backend": "processes"},
+                fmt, iters=3,
+            )
+        finally:
+            shutdown_backends()
+        _assert_bit_equal(reference, procs)
+
+    def test_simulated_timeline_unchanged(self, tensor, kernel_oracle):
+        with kernel_oracle():
+            reference = _run(tensor, "on")
         engine = _run(tensor, "on")
         for phase in PHASES:
-            assert engine.timeline.seconds(phase) == seed.timeline.seconds(phase)
+            assert engine.timeline.seconds(phase) == reference.timeline.seconds(phase)
 
 
 class TestPlanCacheBehavior:
@@ -125,8 +148,11 @@ class TestConfigPlumbing:
     def test_engine_setting_normalized_on_config(self):
         cfg = CstfConfig(engine="sharded")
         assert cfg.engine is not None and cfg.engine.shards >= 2
-        assert CstfConfig(engine=None).engine is None
-        assert CstfConfig(engine="off").engine is None
+        assert CstfConfig().engine == EngineConfig()
+        assert CstfConfig(engine=None).engine == EngineConfig()
+        for removed in ("off", False):
+            with pytest.raises(ValueError, match="seed-kernel MTTKRP path was removed"):
+                CstfConfig(engine=removed)
 
     def test_invalid_engine_setting_rejected(self):
         with pytest.raises(ValueError, match="engine"):

@@ -12,31 +12,15 @@ from repro.engine import (
     engine_mttkrp,
     run_plan,
 )
-from repro.kernels.mttkrp_alto import mttkrp_alto
-from repro.kernels.mttkrp_blco import mttkrp_blco
 from repro.kernels.mttkrp_coo import mttkrp_coo, partial_khatri_rao_rows
-from repro.kernels.mttkrp_csf import mttkrp_csf
-from repro.tensor.alto import AltoTensor
-from repro.tensor.blco import BlcoTensor
 from repro.tensor.coo import SparseTensor
-from repro.tensor.csf import CsfTensor
 from repro.tensor.synthetic import random_sparse
+from tests.kernel_oracle import oracle_mttkrp
 
 
 def _factors(shape, rank, seed=0):
     rng = np.random.default_rng(seed)
     return [rng.random((d, rank)) for d in shape]
-
-
-def _seed_mttkrp(tensor, factors, mode, fmt):
-    """The uncached seed kernel for *fmt*, converted fresh per call."""
-    if fmt == "coo":
-        return mttkrp_coo(tensor, factors, mode)
-    if fmt == "alto":
-        return mttkrp_alto(AltoTensor.from_coo(tensor), factors, mode)
-    if fmt == "blco":
-        return mttkrp_blco(BlcoTensor.from_coo(tensor), factors, mode)
-    return mttkrp_csf(CsfTensor.from_coo(tensor, root_mode=mode), factors, mode)
 
 
 def _run(tensor, factors, mode, **cfg_kwargs):
@@ -102,7 +86,7 @@ class TestDriverDispatch:
     @pytest.mark.parametrize("fmt", ["coo", "alto", "blco", "csf"])
     def test_formats_bitwise(self, small3, factors3, fmt):
         cache = PlanCache()
-        seed = _seed_mttkrp(small3, factors3, 0, fmt)
+        seed = oracle_mttkrp(small3, factors3, 0, fmt)
         cfg = EngineConfig(chunk=64)
         cold = engine_mttkrp(small3, factors3, 0, fmt, cfg, cache)
         warm = engine_mttkrp(small3, factors3, 0, fmt, cfg, cache)
@@ -114,7 +98,7 @@ class TestDriverDispatch:
         cache = PlanCache()
         cfg = EngineConfig(chunk=32, shards=3)
         for mode in range(small4.ndim):
-            seed = _seed_mttkrp(small4, factors4, mode, fmt)
+            seed = oracle_mttkrp(small4, factors4, mode, fmt)
             got = engine_mttkrp(small4, factors4, mode, fmt, cfg, cache)
             assert np.array_equal(got, seed), (fmt, mode)
 

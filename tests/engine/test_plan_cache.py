@@ -29,9 +29,10 @@ class TestEngineConfig:
             EngineConfig(validate="sometimes")
 
     def test_resolve_settings(self):
-        assert resolve_engine(None) is None
-        assert resolve_engine(False) is None
-        assert resolve_engine("off") is None
+        assert resolve_engine(None) == EngineConfig()
+        for removed in (False, "off", "OFF"):
+            with pytest.raises(ValueError, match="seed-kernel MTTKRP path was removed"):
+                resolve_engine(removed)
         assert resolve_engine(True) == EngineConfig()
         assert resolve_engine("on") == EngineConfig()
         assert resolve_engine("cached") == EngineConfig()

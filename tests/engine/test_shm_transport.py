@@ -408,8 +408,7 @@ class TestDispatchOverheadBench:
         from repro.obs.analysis.bench import run_bench_suite, validate_bench
 
         doc = run_bench_suite(
-            wall=False, shm_bench=True,
-            shm_shards=2, shm_nnz=8_000, shm_repeats=1,
+            shm_bench=True, shm_shards=2, shm_nnz=8_000, shm_repeats=1,
         )
         assert validate_bench(doc) == []
         (group,) = [

@@ -42,7 +42,7 @@ class TestBenchDocument:
 
     def test_covers_the_three_figures(self, bench_doc):
         assert [g["figure"] for g in bench_doc["groups"]] == [
-            "fig4", "fig4wall", "fig5", "fig7"
+            "fig4", "fig5", "fig7"
         ]
 
     def test_default_datasets_present(self, bench_doc):
@@ -51,18 +51,9 @@ class TestBenchDocument:
             assert f"{name}.speedup" in fig5["metrics"]
         assert "geomean.speedup" in fig5["metrics"]
 
-    def test_deterministic(self):
-        # fig4wall is measured wall-clock — nondeterministic by nature and
-        # excluded here; every simulated group must be bit-stable.
-        assert run_bench_suite(wall=False) == run_bench_suite(wall=False)
-
-    def test_wall_group_measures_engine_speedup(self, bench_doc):
-        wall = next(g for g in bench_doc["groups"] if g["figure"] == "fig4wall")
-        assert wall["tolerance"] == 0.5
-        assert wall["meta"]["measured"] == "wall_clock"
-        assert wall["metrics"]["geomean.engine_speedup"] > 0.0
-        for name in wall["meta"]["datasets"]:
-            assert f"{name}.engine_speedup" in wall["metrics"]
+    def test_deterministic(self, bench_doc):
+        # Every default group is simulated, so the document is bit-stable.
+        assert run_bench_suite() == bench_doc
 
     def test_invalid_document_caught(self, bench_doc):
         broken = json.loads(json.dumps(bench_doc))
@@ -92,8 +83,7 @@ class TestCommittedBaselines:
     def test_acceptance_perturbed_metric_exits_nonzero(self, bench_doc, tmp_path,
                                                        capsys):
         perturbed = json.loads(json.dumps(bench_doc))
-        # Perturb a deterministic tight-tolerance group (fig4wall's wide
-        # wall-clock band would absorb a factor of two).
+        # Perturb a deterministic tight-tolerance group.
         group = next(g for g in perturbed["groups"] if g["figure"] == "fig5")
         name, value = next(iter(group["metrics"].items()))
         group["metrics"][name] = value * 0.5  # far past 5%
@@ -117,11 +107,16 @@ class TestBaselineConversion:
         assert doc["meta"]["figure"] == "fig4"
 
     def test_group_tolerance_beats_blanket_override(self, bench_doc, tmp_path):
+        # Measured groups (shmdispatch) carry their own wide tolerance;
+        # stamp one on a simulated group and check it beats the override.
+        doc = json.loads(json.dumps(bench_doc))
+        measured = doc["groups"][0]
+        measured["tolerance"] = 0.5
         store = BaselineStore(tmp_path)
-        for base in bench_to_baselines(bench_doc, tolerance=0.1):
+        for base in bench_to_baselines(doc, tolerance=0.1):
             store.save(base)
-        wall = next(g for g in bench_doc["groups"] if g["figure"] == "fig4wall")
-        assert store.load(wall["key"])["tolerance"] == 0.5
+        assert store.load(measured["key"])["tolerance"] == 0.5
+        assert store.load(doc["groups"][1]["key"])["tolerance"] == 0.1
 
 
 class TestBenchScript:
@@ -133,25 +128,9 @@ class TestBenchScript:
             sys.path.pop(0)
         out = tmp_path / "BENCH_test.json"
         code = script.main(["--out", str(out), "--quiet",
-                            "--datasets", "nips", "--fig4-names", "nips",
-                            "--wall-names", "nips", "--wall-nnz", "2000",
-                            "--wall-repeats", "1"])
+                            "--datasets", "nips", "--fig4-names", "nips"])
         assert code == 0
         doc = json.loads(out.read_text(encoding="utf-8"))
         assert validate_bench(doc) == []
         assert doc["config"]["datasets"] == ["nips"]
-        assert doc["config"]["wall_nnz"] == 2000
-        assert any(g["figure"] == "fig4wall" for g in doc["groups"])
-
-    def test_no_wall_skips_the_wall_group(self, tmp_path):
-        sys.path.insert(0, str(REPO_ROOT / "scripts"))
-        try:
-            import run_bench_suite as script
-        finally:
-            sys.path.pop(0)
-        out = tmp_path / "BENCH_nowall.json"
-        code = script.main(["--out", str(out), "--quiet", "--no-wall",
-                            "--datasets", "nips", "--fig4-names", "nips"])
-        assert code == 0
-        doc = json.loads(out.read_text(encoding="utf-8"))
-        assert all(g["figure"] != "fig4wall" for g in doc["groups"])
+        assert doc["config"]["fig4_names"] == ["nips"]

@@ -18,7 +18,10 @@ import pytest
 from repro.core.config import CstfConfig
 from repro.core.cstf import cstf
 from repro.core.trace import PHASES
+from repro.engine import EngineConfig
 from repro.obs import Telemetry, telemetry_session, validate_jsonl
+from repro.obs.analysis import diagnose
+from repro.tensor.coo import SparseTensor
 from repro.tensor.synthetic import planted_sparse_cp
 
 pytestmark = pytest.mark.telemetry
@@ -125,3 +128,39 @@ class TestNumericsUnchanged:
             assert rec.phase_seconds(phase) == pytest.approx(
                 res.timeline.seconds(phase), rel=1e-12
             )
+
+
+class TestEngineKernelTelemetry:
+    """The engine MTTKRP emits the per-format kernels' telemetry."""
+
+    @pytest.mark.parametrize("fmt", ["coo", "alto", "blco", "csf"])
+    def test_one_kernel_span_and_count_per_call(self, tensor, fmt):
+        config = _config("on")
+        config.mttkrp_format, config.engine = fmt, EngineConfig()
+        res = cstf(tensor, config)
+        rec = res.telemetry
+        calls = MAX_ITERS * tensor.ndim
+        kernels = rec.spans_named("mttkrp_kernel")
+        assert len(kernels) == calls
+        assert {s.attrs["format"] for s in kernels} == {fmt}
+        assert rec.metrics_summary["counters"][f"mttkrp.calls.{fmt}"] == calls
+
+    def test_skewed_blco_blocks_reach_the_doctor(self):
+        """A BLCO run whose blocks are badly skewed is diagnosed
+        ``blco_load_imbalance``, with the kernel spans as evidence."""
+        rng = np.random.default_rng(0)
+        big = 2**17  # 3 x 17 index bits overflow the 48-bit block budget
+        idx = np.vstack([rng.integers(0, 64, size=(400, 3)),
+                         rng.integers(0, big, size=(12, 3))])
+        skewed = SparseTensor(idx, rng.random(len(idx)) + 0.5, (big, big, big))
+        res = cstf(skewed, CstfConfig(
+            rank=2, max_iters=2, update="admm", device="cpu",
+            mttkrp_format="blco", engine="on", seed=0, telemetry="on",
+            update_params={"inner_iters": 2},
+        ))
+        gauges = res.telemetry.metrics_summary["gauges"]
+        assert gauges["mttkrp.blco.blocks"] > 1
+        assert gauges["mttkrp.blco.block_imbalance"] > 2.0
+        (finding,) = [f for f in diagnose(res.telemetry)
+                      if f.code == "blco_load_imbalance"]
+        assert finding.evidence["span_ids"]

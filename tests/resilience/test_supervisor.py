@@ -147,19 +147,19 @@ class TestDegradationLadder:
     def test_ladder_shape_from_sharded(self):
         rungs = _ladder(EngineConfig(shards=4, chunk=512))
         assert [name for name, _ in rungs] == [
-            "sharded engine", "chunked engine", "serial engine", "seed kernels",
+            "sharded engine", "chunked engine", "serial engine",
         ]
         assert rungs[1][1].shards == 1 and rungs[1][1].chunk == 512
-        assert rungs[2][1].chunk == 0
-        assert rungs[3][1] is None
+        assert rungs[2][1] == EngineConfig(shards=1, chunk=0)
 
-    def test_ladder_shape_from_seed(self):
-        assert _ladder(None) == [("seed kernels", None)]
+    def test_ladder_shape_from_serial_engine(self):
+        serial = EngineConfig(chunk=0)
+        assert _ladder(serial) == [("serial engine", serial)]
 
     def test_each_rung_fires_exactly_once_per_trigger(self, tensor, patch_cstf):
         """With max_retries=0 every failure is one trigger, and each must
         produce exactly one execution_degraded event stepping one rung."""
-        flaky = patch_cstf(_Flaky(failures=3))
+        flaky = patch_cstf(_Flaky(failures=2))
         sup = RunSupervisor(
             _base(engine={"shards": 4}),
             SupervisorConfig(max_retries=0, backoff_base=0.0),
@@ -167,15 +167,14 @@ class TestDegradationLadder:
         )
         result = sup.run(tensor)
         degraded = [e for e in result.events if e.kind == "execution_degraded"]
-        assert len(degraded) == 3
+        assert len(degraded) == 2
         assert [(e.data["from_tier"], e.data["to_tier"]) for e in degraded] == [
             ("sharded engine", "chunked engine"),
             ("chunked engine", "serial engine"),
-            ("serial engine", "seed kernels"),
         ]
-        # The run that succeeded used the seed kernels (engine disabled).
-        assert flaky.configs[-1].engine is None
-        assert sup.degradations == 3
+        # The run that succeeded used the bottom rung: the serial engine.
+        assert flaky.configs[-1].engine == EngineConfig(shards=1, chunk=0)
+        assert sup.degradations == 2
 
     def test_degraded_result_bit_identical(self, tensor, patch_cstf):
         plain = cstf(tensor, _base())

@@ -73,17 +73,18 @@ class TestFactorize:
         with pytest.raises(KeyError):
             _run(["factorize", "netflix"])
 
-    def test_engine_flag_matches_seed_run(self, tmp_path):
+    def test_engine_flag_matches_seed_run(self, tmp_path, kernel_oracle):
         tensor, _ = planted_sparse_cp((14, 11, 9), rank=2, seed=4)
         path = tmp_path / "t.tns"
         write_tns(tensor, path)
         base = ["factorize", str(path), "--rank", "2", "--iters", "4",
                 "--format", "coo"]
-        code_seed, text_seed = _run(base)
+        with kernel_oracle():
+            code_seed, text_seed = _run(base)
         code_eng, text_eng = _run(base + ["--engine", "on"])
         code_sh, text_sh = _run(base + ["--shards", "2"])
         assert code_seed == code_eng == code_sh == 0
-        # Same fit line and same simulated breakdown: the engine changes
+        # Same fit line as the kernel-oracle run: the engine settings change
         # host execution only.
         fit = next(l for l in text_seed.splitlines() if l.startswith("fit:"))
         assert fit in text_eng and fit in text_sh
@@ -198,11 +199,12 @@ class TestPerfVerb:
         assert "hit rate" in text
         assert "engine sharding:" in text
 
-    def test_perf_without_engine_has_no_engine_section(self):
+    def test_perf_default_run_reports_plan_cache(self):
         code, text = _run(["perf", "uber", "--rank", "2", "--iters", "2",
                            "--nnz", "1000"])
         assert code == 0
-        assert "engine plan cache" not in text
+        assert "engine plan cache:" in text
+        assert "engine sharding" not in text
 
 
 class TestDoctorVerb:
