@@ -83,8 +83,9 @@ class CstfConfig:
         factors and charges identical simulated device costs; only host
         wall-clock changes. Concrete runs keep their tensor, its format
         conversions and its plans in the process-wide plan cache
-        (:func:`~repro.engine.get_plan_cache`, LRU over its
-        ``max_tensors``, 16 tensors); its cheap staleness probe samples
+        (:func:`~repro.engine.get_plan_cache`, an LRU of
+        ``PlanCache.max_tensors`` = 16 tensors, which no ``EngineConfig``
+        field changes); its cheap staleness probe samples
         only 16 nonzeros, so after editing ``tensor.values`` or
         ``tensor.indices`` in place call
         ``get_plan_cache().invalidate(tensor)``. Ignored for analytic runs.

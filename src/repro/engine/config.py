@@ -122,13 +122,6 @@ class EngineConfig:
         (λ² is exactly ``diag(G)``). Opt-in: the rescaled Gram is
         numerically equivalent but *not* bit-identical to the norm-pass
         path, so it is excluded from the engine's rtol=0 guarantee.
-    max_tensors:
-        Plan-cache capacity in tensors (LRU eviction). Each cached tensor
-        pins its plans, cached format conversions, and a strong reference
-        to the tensor itself. Concrete ``cstf`` runs use the process-wide
-        cache (:func:`~repro.engine.plan.get_plan_cache`), whose capacity is
-        its own ``PlanCache.max_tensors`` (16); this field does not resize
-        it.
     validate:
         Plan staleness detection per lookup: ``"cheap"`` (default; shape,
         nnz, and a 16-point sampled fingerprint of indices/values),
@@ -148,7 +141,6 @@ class EngineConfig:
     memory_budget_bytes: int = 0
     disk_budget_bytes: int = 0
     gram_rescale: bool = False
-    max_tensors: int = 16
     validate: str = "cheap"
 
     def __post_init__(self):
@@ -182,9 +174,6 @@ class EngineConfig:
         )
         require(int(self.disk_budget_bytes) >= 0, "disk_budget_bytes must be >= 0")
         object.__setattr__(self, "disk_budget_bytes", int(self.disk_budget_bytes))
-        object.__setattr__(
-            self, "max_tensors", check_positive_int(self.max_tensors, "max_tensors")
-        )
         require(
             self.validate in _VALIDATE,
             f"validate must be one of {_VALIDATE}, got {self.validate!r}",

@@ -140,7 +140,7 @@ def sharded_segment_accumulate(
     no segment is ever split and intra-segment order is preserved. Used by
     the streaming driver's history accumulation.
     """
-    from repro.engine.plan import MttkrpPlan, SegmentStream
+    from repro.engine.plan import MttkrpPlan, SegmentStream, stable_target_order
 
     rank = int(rows.shape[1])
     if rows.shape[0] == 0 or cfg.shards <= 1:
@@ -148,7 +148,7 @@ def sharded_segment_accumulate(
 
         return segment_accumulate(rows, targets, out_rows)
 
-    order = np.argsort(targets, kind="stable")
+    order = stable_target_order(targets, out_rows)
     sorted_targets = targets[order]
     sorted_rows = np.ascontiguousarray(rows[order])
     n = sorted_rows.shape[0]

@@ -37,6 +37,18 @@ from repro.obs import current_telemetry
 __all__ = ["SegmentStream", "MttkrpPlan", "PlanCache", "get_plan_cache"]
 
 
+def stable_target_order(targets: np.ndarray, size: int) -> np.ndarray:
+    """Stable argsort of *targets*, whose values all lie in ``[0, size)``.
+
+    NumPy radix-sorts 16-bit keys but timsorts int64 ones, so targets of a
+    mode of length ``size <= 65536`` are sorted as ``uint16``. A stable
+    sort's permutation is unique, so the order is the int64 one.
+    """
+    if size <= 1 << 16:
+        targets = targets.astype(np.uint16)
+    return np.argsort(targets, kind="stable")
+
+
 class SegmentStream:
     """A run of nonzeros presorted by target row, with segment boundaries.
 
@@ -162,7 +174,7 @@ class MttkrpPlan:
         values = np.asarray(values, dtype=np.float64)
         ndim = int(indices.shape[1]) if indices.ndim == 2 else len(shape)
         targets = indices[:, mode] if values.shape[0] else np.zeros(0, dtype=np.int64)
-        order = np.argsort(targets, kind="stable")
+        order = stable_target_order(targets, int(shape[mode]))
         cols = tuple(
             np.ascontiguousarray(indices[order, m], dtype=np.int64)
             for m in range(ndim)

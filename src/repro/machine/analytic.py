@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import exp, prod
 
+import numpy as np
+
 from repro.machine.executor import Executor
 from repro.utils.validation import check_shape, require
 
@@ -62,19 +64,44 @@ class TensorStats:
 
     @classmethod
     def from_coo(cls, tensor, bit_budget: int = 48) -> "TensorStats":
-        """Exact statistics from a materialized COO tensor."""
-        from repro.tensor.blco import BlcoTensor
-        from repro.tensor.csf import CsfTensor
+        """Exact statistics from a materialized COO tensor, in O(nnz).
 
+        Every field is counted from the COO arrays; no format is built. The
+        counts rely on :class:`~repro.tensor.coo.SparseTensor`'s invariant
+        that entries are coalesced and sorted lexicographically (mode 0
+        slowest):
+
+        - ``num_blocks`` is the number of distinct BLCO block keys
+          (:func:`~repro.tensor.blco.block_keys`) under *bit_budget*, or one
+          when no mode has high bits;
+        - level *l* of the root-0 natural-order CSF tree has one node per
+          entry whose first *l* + 1 coordinates differ from the previous
+          entry's, so ``csf_level_sizes`` is one cumulative pass over the
+          sorted columns.
+        """
+        from repro.tensor.blco import block_keys, split_bit_widths
+        from repro.tensor.linearize import mode_bit_widths
+
+        idx = tensor.indices
+        nnz = tensor.nnz
         distinct = tuple(float(tensor.distinct_mode_indices(m)) for m in range(tensor.ndim))
-        blco = BlcoTensor.from_coo(tensor, bit_budget=bit_budget)
-        csf = CsfTensor.from_coo(tensor, root_mode=0)
+
+        low, high = split_bit_widths(mode_bit_widths(tensor.shape), bit_budget)
+        num_blocks = np.unique(block_keys(idx, low, high)).size if any(high) else 1
+
+        changed = np.zeros(nnz, dtype=bool)
+        changed[:1] = True
+        levels = []
+        for m in range(tensor.ndim):
+            col = idx[:, m]
+            changed[1:] |= col[1:] != col[:-1]
+            levels.append(float(np.count_nonzero(changed)))
         return cls(
             shape=tensor.shape,
-            nnz=tensor.nnz,
+            nnz=nnz,
             distinct=distinct,
-            num_blocks=max(blco.num_blocks, 1),
-            csf_level_sizes=tuple(float(s) for s in csf.level_sizes()),
+            num_blocks=max(num_blocks, 1),
+            csf_level_sizes=tuple(levels),
         )
 
     @classmethod

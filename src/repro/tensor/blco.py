@@ -23,7 +23,7 @@ from repro.tensor import linearize as lin
 from repro.tensor.coo import SparseTensor
 from repro.utils.validation import check_axis, require
 
-__all__ = ["BlcoBlock", "BlcoTensor", "split_bit_widths"]
+__all__ = ["BlcoBlock", "BlcoTensor", "block_keys", "split_bit_widths"]
 
 #: Default in-block index budget, matching the 48-bit effective element index
 #: the BLCO GPU kernels use on 64-bit words (the remainder is metadata).
@@ -47,6 +47,17 @@ def split_bit_widths(widths: list[int], budget: int) -> tuple[list[int], list[in
         low[mode] -= 1
         high[mode] += 1
     return low, high
+
+
+def block_keys(indices: np.ndarray, low: list[int], high: list[int]) -> np.ndarray:
+    """Packed block key of every ``(nnz, ndim)`` coordinate row: each mode's
+    high bits (above its ``low`` field) at its concatenated ``high`` offset."""
+    high_off = lin.concat_bit_offsets(high)
+    key = np.zeros(indices.shape[0], dtype=np.int64)
+    for mode, bits in enumerate(high):
+        if bits:
+            key |= (indices[:, mode] >> low[mode]) << high_off[mode]
+    return key
 
 
 @dataclass(frozen=True)
@@ -94,15 +105,10 @@ class BlcoTensor:
 
         idx = tensor.indices
         nnz = tensor.nnz
-        low_coords = np.empty_like(idx) if nnz else np.zeros((0, len(widths)), dtype=np.int64)
-        key = np.zeros(nnz, dtype=np.int64)
+        low_coords = np.empty_like(idx)
         for mode in range(len(widths)):
-            col = idx[:, mode] if nnz else np.zeros(0, dtype=np.int64)
-            mask = (np.int64(1) << low[mode]) - 1
-            if nnz:
-                low_coords[:, mode] = col & mask
-            if high[mode]:
-                key |= (col >> low[mode]) << high_off[mode]
+            low_coords[:, mode] = idx[:, mode] & ((np.int64(1) << low[mode]) - 1)
+        key = block_keys(idx, low, high)
 
         linear = lin.encode_concat(low_coords, low, low_off)
 

@@ -38,7 +38,8 @@ class SparseTensor:
     The constructor copies, validates, coalesces duplicates, and sorts the
     entries lexicographically (mode 0 slowest). Sorted order is a class
     invariant that downstream formats (CSF construction, segment reductions)
-    rely on.
+    and the exact statistics of :meth:`TensorStats.from_coo
+    <repro.machine.analytic.TensorStats.from_coo>` rely on.
     """
 
     __slots__ = ("_indices", "_values", "_shape")
@@ -148,22 +149,6 @@ class SparseTensor:
         new_shape = tuple(self._shape[o] for o in order)
         return SparseTensor(self._indices[:, order], self._values, new_shape)
 
-    def sorted_by_mode(self, mode: int) -> "SparseTensor":
-        """Return entries sorted with *mode* as the major key.
-
-        Ties are broken by the remaining modes in their natural order, which
-        gives the fiber-major ordering CSF construction expects.
-        """
-        mode = check_axis(mode, self.ndim)
-        keys = [self._indices[:, m] for m in reversed(range(self.ndim)) if m != mode]
-        keys.append(self._indices[:, mode])
-        perm = np.lexsort(keys)
-        out = SparseTensor.__new__(SparseTensor)
-        out._indices = self._indices[perm]
-        out._values = self._values[perm]
-        out._shape = self._shape
-        return out
-
     def scale_values(self, factor: float) -> "SparseTensor":
         """Return a copy with all values multiplied by *factor*."""
         out = SparseTensor.__new__(SparseTensor)
@@ -189,11 +174,12 @@ class SparseTensor:
 
         Equals the number of factor-matrix rows actually touched by an
         MTTKRP, which determines the cache working set in the machine model.
+        One O(nnz) scatter into a ``shape[mode]`` boolean mask, no sort.
         """
         mode = check_axis(mode, self.ndim)
-        if self.nnz == 0:
-            return 0
-        return int(np.unique(self._indices[:, mode]).size)
+        seen = np.zeros(self._shape[mode], dtype=bool)
+        seen[self._indices[:, mode]] = True
+        return int(np.count_nonzero(seen))
 
     # ------------------------------------------------------------------ #
     # Comparison / repr

@@ -139,6 +139,27 @@ class TestPlanStructure:
             plan.stream.out_index, np.unique(tensor.indices[:, 0])
         )
 
+    @pytest.mark.parametrize("dim", [65536, 65537])
+    def test_plan_equals_int64_stable_sort(self, dim):
+        """Modes up to 65536 long sort 16-bit keys; the plan must still be
+        the int64 stable sort's, tie order included."""
+        rng = np.random.default_rng(dim)
+        nnz = 4000
+        targets = rng.choice([0, 1, 255, 256, 65535, dim - 1], size=nnz)
+        indices = np.stack([np.arange(nnz), targets], axis=1)
+        values = rng.random(nnz)
+        plan = MttkrpPlan.from_arrays(indices, values, (nnz, dim), 1)
+        order = np.argsort(targets.astype(np.int64), kind="stable")
+        stream = plan.stream
+        for m in range(2):
+            assert np.array_equal(stream.cols[m], indices[order, m])
+        assert np.array_equal(stream.values, values[order])
+        sorted_targets = targets[order]
+        assert np.array_equal(stream.out_index, np.unique(targets))
+        assert np.array_equal(
+            stream.starts, np.searchsorted(sorted_targets, stream.out_index)
+        )
+
     def test_chunk_edges_align_to_segments(self, tensor):
         plan = MttkrpPlan.from_arrays(
             tensor.indices, tensor.values, tensor.shape, 1

@@ -1,12 +1,37 @@
 """TensorStats and the analytic MTTKRP cost records."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro.data.frostt import get_dataset
 from repro.machine.analytic import MTTKRP_LOCALITY, TensorStats, charge_mttkrp
 from repro.machine.executor import Executor
 from repro.machine.symbolic import SymArray
+from repro.tensor.coo import SparseTensor
 from repro.tensor.synthetic import random_sparse
+from tests.stats_oracle import reference_stats
+
+#: 3 and 8 bits leave high bits on several modes (multi-block BLCO keys);
+#: 48 is the default budget.
+BIT_BUDGETS = (3, 8, 48)
+
+
+@st.composite
+def coo_tensor(draw):
+    """1- to 4-mode tensors with short and long modes, nnz from 0."""
+    ndim = draw(st.integers(min_value=1, max_value=4))
+    shape = tuple(
+        draw(st.integers(min_value=1, max_value=12) | st.integers(min_value=13, max_value=5000))
+        for _ in range(ndim)
+    )
+    nnz = draw(st.integers(min_value=0, max_value=80))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**31)))
+    indices = np.stack([rng.integers(0, d, size=nnz) for d in shape], axis=1)
+    return SparseTensor(indices.reshape(nnz, ndim), rng.random(nnz) + 0.5, shape)
 
 
 class TestFromCoo:
@@ -23,6 +48,38 @@ class TestFromCoo:
         stats = TensorStats.from_coo(small4)
         levels = CsfTensor.from_coo(small4, root_mode=0).level_sizes()
         assert list(stats.csf_level_sizes) == [float(s) for s in levels]
+
+
+class TestFromCooExact:
+    """``from_coo`` counts without conversions and equals the conversions."""
+
+    @given(coo_tensor(), st.sampled_from(BIT_BUDGETS))
+    @example(SparseTensor(np.zeros((0, 3), dtype=np.int64), np.zeros(0), (4, 5, 6)), 3)
+    @settings(max_examples=200, deadline=None)
+    def test_equals_reference(self, tensor, bit_budget):
+        stats = TensorStats.from_coo(tensor, bit_budget=bit_budget)
+        assert stats == reference_stats(tensor, bit_budget)
+
+    @pytest.mark.parametrize("name", ["nips", "uber", "vast", "nell2", "delicious"])
+    @pytest.mark.parametrize("bit_budget", BIT_BUDGETS)
+    def test_frostt_analogues(self, name, bit_budget):
+        tensor = get_dataset(name).load_scaled(seed=0, target_nnz=20_000)
+        stats = TensorStats.from_coo(tensor, bit_budget=bit_budget)
+        assert stats == reference_stats(tensor, bit_budget)
+        if bit_budget == 3:
+            assert stats.num_blocks > 1
+
+    @pytest.mark.parametrize("bit_budget", [8, 48])
+    def test_peak_allocation_below_index_array(self, bit_budget):
+        """Counting needs O(nnz) scratch, not a BLCO and a CSF copy."""
+        tensor = random_sparse((409, 2000, 825, 28), nnz=200_000, seed=5)
+        tracemalloc.start()
+        try:
+            TensorStats.from_coo(tensor, bit_budget=bit_budget)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < tensor.indices.nbytes
 
 
 class TestFromDims:

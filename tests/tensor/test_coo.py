@@ -98,13 +98,6 @@ class TestTransforms:
         with pytest.raises(ValueError, match="permutation"):
             small3.permute_modes([0, 0, 1])
 
-    def test_sorted_by_mode_groups_major_key(self, small4):
-        s = small4.sorted_by_mode(2)
-        col = s.indices[:, 2]
-        assert np.all(np.diff(col) >= 0)
-        # Contents unchanged.
-        assert s.to_dense().sum() == pytest.approx(small4.to_dense().sum())
-
     def test_scale_values(self, small3):
         doubled = small3.scale_values(2.0)
         assert np.allclose(doubled.values, 2.0 * small3.values)
