@@ -3,35 +3,27 @@
 Workers are separate OS processes, so the failure modes are the real
 thing: a worker that takes a ``SIGKILL`` (OOM killer, operator, the chaos
 harness's ``kill_worker`` fault) or aborts simply *disappears* — no
-exception, no return value. The dispatching side runs a watchdog around
-every outstanding shard:
+exception, no return value. The shared loop of
+:mod:`repro.engine.backends.base` owns dispatch order, deadlines, events
+and the serial redo; this backend supplies the watchdog its ``_wait``
+runs around each outstanding shard:
 
 - **liveness** — each worker owns a private duplex pipe; while a result is
-  pending the parent polls the pipe and the process in short beats. A
-  worker that is no longer alive (negative exitcode = died on a signal) is
-  declared lost: a ``worker_lost`` event is recorded, the
-  ``engine.backend.workers_lost`` counter bumps, the worker is respawned,
-  and the lost shard is re-executed serially on the dispatching thread —
-  deterministically bit-identical, because each shard's summation order is
-  private and its output rows are disjoint.
-- **straggler deadline** — a worker that is alive but has not delivered
-  within ``EngineConfig.shard_timeout`` of the start of *its own*
-  collection (deadlines are anchored per shard as the watchdog reaches
-  it, so collecting or redoing earlier shards never erodes a later
-  shard's budget) is killed outright (its private accumulator dies with
-  it) and handled the same way, as a ``shard_timeout``.
-- **broken pipes** — a task pipe that raises ``EOFError``/``OSError``
-  while a result is pending can never deliver, even if the worker
-  process is technically still alive (wedged); it is treated as a lost
-  worker immediately rather than polling forever.
+  pending the parent polls the pipe and the process in short beats, and
+  samples the worker's RSS. A worker that is no longer alive (negative
+  exitcode = died on a signal) is *lost*: it is respawned and its exit
+  status named in the ``worker_lost`` event.
+- **straggler deadline** — a worker still running past its shard's
+  deadline is killed outright (its private accumulator dies with it) and
+  respawned, as a ``shard_timeout``.
+- **broken pipes and failed deliveries** — a task pipe that raises
+  ``EOFError``/``OSError`` can never deliver, even if the worker process
+  is technically still alive (wedged); it is lost at once rather than
+  polled forever.
 - **in-worker exceptions** — a worker that raises sends back an error
-  marker and stays alive; the shard is redone serially (``shard_retry``),
-  matching the threads backend.
-
-Workers hold **private accumulators over disjoint output rows** (the
-medium-grained factor-block partitioning of Liavas & Sidiropoulos's
-distributed ADMM), so the parent-side tree reduce adds exact zeros and
-every recovery path is rtol=0 against serial execution.
+  marker and stays alive (``shard_retry``).
+- **memory pressure** — a healthy worker whose peak RSS breached
+  ``EngineConfig.memory_budget_bytes`` is recycled at the shard boundary.
 
 Task shipping: the parent's in-memory plan cache is invisible to workers,
 so a task either carries its shard stream inline (pickled over the pipe)
@@ -53,10 +45,8 @@ Factor matrices and accumulators travel over one of two transports:
   the worker fills in place, so tasks carry only segment names/shapes and
   the reply shrinks to a status tuple. Descriptors carry a per-dispatch
   generation tag a worker refuses when stale; fault paths discard the
-  abandoned shm accumulator unread and redo the shard serially into a
-  fresh private buffer, so every recovery rung stays bit-identical.
-  Segments are unlinked on shutdown/atexit, idle segments on every
-  respawn.
+  abandoned shm accumulator unread. Segments are unlinked on
+  shutdown/atexit, idle segments on every respawn.
 
 Pools are lazily sized, persistent across calls, refreshed if the parent
 PID changes (fork safety: a forked child never reuses inherited workers,
@@ -74,16 +64,17 @@ from collections import OrderedDict
 
 import numpy as np
 
-from repro.engine.backends.base import ExecutionBackend, tree_reduce
+from repro.engine.backends.base import (
+    LOST,
+    OK,
+    RAISED,
+    TIMEOUT,
+    ExecutionBackend,
+    apply_shard_faults,
+)
 from repro.obs import current_telemetry
 from repro.obs.worker import merge_worker_batch
-from repro.resilience.events import (
-    SHARD_RETRY,
-    SHARD_TIMEOUT,
-    TRANSPORT_DOWNGRADED,
-    WORKER_LOST,
-    WORKER_RECYCLED,
-)
+from repro.resilience.events import TRANSPORT_DOWNGRADED, WORKER_RECYCLED
 
 __all__ = ["ProcessBackend"]
 
@@ -108,11 +99,6 @@ def _read_rss(pid: int) -> int:
             return int(fh.read().split()[1]) * _PAGE_SIZE
     except (OSError, IndexError, ValueError):
         return 0
-
-#: Liveness budget for a shard when ``shard_timeout`` is disabled: the
-#: watchdog still detects dead workers on every beat, it just never
-#: declares a live worker a straggler.
-_NO_DEADLINE = float("inf")
 
 #: Worker-side plan memo capacity (plans loaded from the on-disk store).
 #: A long-lived pool serving many tensors re-loads a cold plan from the
@@ -191,16 +177,10 @@ def _worker_main(conn, worker_id: int) -> None:
             return
         capture = bool(task.get("telemetry"))
         try:
-            if task.get("kill"):
-                os.kill(os.getpid(), signal.SIGKILL)
-            if task.get("delay", 0.0) > 0.0:
-                time.sleep(task["delay"])
-            if task.get("crash"):
-                from repro.resilience.faults import InjectedWorkerCrash
-
-                raise InjectedWorkerCrash(
-                    f"injected worker crash on mode-{task['mode']} shard"
-                )
+            apply_shard_faults(
+                task.get("faults", frozenset()), task.get("delay", 0.0),
+                task["mode"], can_kill=True,
+            )
             stream = task.get("stream")
             if stream is None:
                 key = task["key"]
@@ -410,7 +390,7 @@ class ProcessBackend(ExecutionBackend):
     # Shared-memory transport plumbing
     # ------------------------------------------------------------------ #
     def _use_shm(self, cfg) -> bool:
-        mode = getattr(cfg, "shm", "auto")
+        mode = cfg.shm
         if mode == "off":
             return False
         from repro.engine.backends.shm import shm_available
@@ -433,318 +413,198 @@ class ProcessBackend(ExecutionBackend):
         return self._shm_pool
 
     # ------------------------------------------------------------------ #
-    def run_shards(
-        self, streams, fmats, mode, out_rows, rank, cfg, *,
-        faults=None, events=None, plan_ref=None,
-    ) -> np.ndarray:
-        self._announce(streams)
-
-        injected: dict[str, int] = {}
-        delay = 0.0
-        if faults is not None:
-            injected = faults.draw_shard_faults(
-                len(streams), mode=mode, events=events
-            )
-            if "slow_shard" in injected:
-                delay = faults.slow_shard_delay()
-
-        store_root, store_key = plan_ref if plan_ref is not None else (None, None)
-        workers = self._ensure_workers(len(streams))
-        fmats = [np.ascontiguousarray(f, dtype=np.float64) for f in fmats]
-
-        tel = current_telemetry()
-        use_shm = self._use_shm(cfg)
-        budget = int(getattr(cfg, "memory_budget_bytes", 0) or 0)
-        if budget > 0 and tel.enabled:
-            tel.gauge("engine.proc.memory_budget", float(budget))
-        anchor = tel.current_span_id()
-        t_dispatch = tel.now()
-        pending: list[bool] = [False] * len(streams)
-        partials: list[np.ndarray | None] = [None] * len(streams)
-        out_views: list[np.ndarray | None] = [None] * len(streams)
-        out_leases: list = [None] * len(streams)
-        fmat_leases: list = []
-        pool = None
-        shm_base = None
-        if use_shm:
-            from repro.engine.backends.shm import ShmExhausted
-
-            pool = self._segment_pool()
-            pool.budget_bytes = budget
-            # getattr: chaos-suite test doubles implement only the draw
-            # hooks they exercise.
-            draw_shm = getattr(faults, "draw_shm_fault", None)
-            if draw_shm is not None and draw_shm(mode=mode, events=events):
-                pool.fail_next_lease = True
-            try:
-                # One write, N readers: each factor matrix is published
-                # once per dispatch; every task carries only names and
-                # shapes. Every segment of the dispatch — factors and the
-                # per-shard accumulators — is leased up front, so a lease
-                # failure downgrades the whole dispatch before any task
-                # ships with a half-published descriptor set.
-                fmat_descs = []
-                for f in fmats:
-                    lease = pool.lease(f.nbytes)
-                    fmat_leases.append(lease)
-                    lease.view(f.shape)[...] = f
-                    fmat_descs.append({"name": lease.name, "shape": f.shape})
-                for i in range(len(streams)):
-                    lease = pool.lease(out_rows * rank * 8)
-                    out_leases[i] = lease
-                    out_views[i] = lease.view((out_rows, rank))
-                    # run_stream assigns segment sums into disjoint rows;
-                    # rows no nonzero touches must be exact zeros, and a
-                    # reused segment still holds the previous dispatch.
-                    out_views[i][...] = 0.0
-                shm_base = {"gen": pool.next_generation(), "fmats": fmat_descs}
-            except ShmExhausted as exc:
-                # /dev/shm pressure (budget, kernel, or injected fault):
-                # this dispatch falls back to pickling over the pipes —
-                # bit-identical, only the transport differs.
-                for lease in fmat_leases:
-                    pool.release(lease)
-                for i, lease in enumerate(out_leases):
-                    out_views[i] = None
-                    if lease is not None:
-                        pool.release(lease)
-                fmat_leases = []
-                out_leases = [None] * len(streams)
-                use_shm = False
-                shm_base = None
-                tel.counter("engine.shm.downgrades")
-                if events is not None:
-                    events.record(
-                        TRANSPORT_DOWNGRADED, "MTTKRP", mode=mode,
-                        detail=f"shm lease failed ({exc}); dispatch fell "
-                               f"back to the pipe transport",
-                        error=str(exc),
-                    )
-        try:
-            for i, stream in enumerate(streams):
-                task = {
-                    "mode": mode, "out_rows": out_rows, "rank": rank,
-                    "chunk": cfg.chunk, "shard": i,
-                    "n_shards": cfg.shards,
-                    "telemetry": tel.enabled,
-                    "kill": injected.get("kill_worker") == i
-                    or injected.get("oom_worker") == i,
-                    "crash": injected.get("worker_crash") == i,
-                    "delay": delay if injected.get("slow_shard") == i else 0.0,
-                }
-                if use_shm:
-                    lease = out_leases[i]
-                    task["shm"] = dict(
-                        shm_base,
-                        out={"name": lease.name, "shape": (out_rows, rank)},
-                    )
-                else:
-                    task["fmats"] = fmats
-                if store_root is not None and store_key is not None:
-                    task["stream"] = None
-                    task["store"] = os.fspath(store_root)
-                    task["key"] = store_key
-                else:
-                    task["stream"] = stream
-                pending[i] = self._send(workers, i, task)
-
-            dispatch_peak = 0
-            for i, stream in enumerate(streams):
-                if not pending[i]:
-                    # The task could not even be delivered (worker lost
-                    # between launches); it was already counted — execute
-                    # inline.
-                    partials[i], batch = self._redo_captured(
-                        stream, fmats, mode, out_rows, rank, cfg.chunk, i,
-                        enabled=tel.enabled,
-                    )
-                    batches, redone, peak_rss = [batch], True, 0
-                else:
-                    partials[i], batches, redone, peak_rss = self._collect(
-                        workers, i, stream, fmats, mode, out_rows, rank, cfg,
-                        events, out_view=out_views[i],
-                        oom=injected.get("oom_worker") == i,
-                    )
-                if redone and use_shm and out_leases[i] is not None:
-                    # Fault hygiene: the abandoned shm accumulator (which a
-                    # killed worker may have been mid-write into) is never
-                    # read and never recycled. Drop the parent-side view
-                    # first so the segment unmaps cleanly.
-                    out_views[i] = None
-                    pool.discard(out_leases[i])
-                    out_leases[i] = None
-                self._finish_shard(
-                    tel, anchor, t_dispatch, i, stream.nnz, batches,
-                    redone=redone, captured=tel.enabled,
-                    transport="inline" if redone
-                    else ("shm" if use_shm else "pipe"),
-                )
-                dispatch_peak = max(dispatch_peak, peak_rss)
-                if (
-                    budget > 0 and not redone and peak_rss > budget
-                    and workers[i].alive()
-                ):
-                    # Memory pressure: this worker's peak RSS breached the
-                    # budget. Its shard result is already collected, so a
-                    # graceful replacement at the shard boundary cannot
-                    # affect bit-identity — it just returns the memory.
-                    workers[i] = self._recycle(i, peak_rss, budget, mode, events)
-            if tel.enabled and dispatch_peak > 0:
-                # Gauges keep last-value semantics; the peak gauge is kept
-                # monotone across dispatches so end-of-run summaries (and
-                # the doctor) see the run's true high-water mark.
-                prior = tel.metrics.gauges.get("engine.proc.worker_rss_peak", 0.0)
-                if dispatch_peak > prior:
-                    tel.gauge(
-                        "engine.proc.worker_rss_peak", float(dispatch_peak)
-                    )
-            reduced = tree_reduce(partials)
-            if use_shm:
-                # The reduction root may be an shm view; the caller owns
-                # the result beyond this dispatch's leases.
-                reduced = np.array(reduced, dtype=np.float64, copy=True)
-            return reduced
-        finally:
-            if use_shm:
-                partials = out_views = None  # drop segment views first
-                for lease in fmat_leases:
-                    pool.release(lease)
-                for lease in out_leases:
-                    if lease is not None:
-                        pool.release(lease)
-
+    # Shard primitives
     # ------------------------------------------------------------------ #
-    def _send(self, workers: list[_Worker], i: int, task: dict) -> bool:
-        """Deliver one task, respawning a dead worker once. Returns whether
-        the task is in flight; a failed delivery is recorded as a lost
-        worker and the caller executes the shard inline."""
-        for _attempt in range(2):
-            worker = workers[i]
-            try:
-                worker.conn.send(task)
-                return True
-            except (OSError, ValueError):
-                self._record_lost(
-                    worker, i, task["mode"], None,
-                    context="task delivery failed",
-                )
-                workers[i] = self._respawn(i)
-        return False
+    def _submit(self, job, faults, plan_ref, events) -> None:
+        n = len(job.streams)
+        job.workers = self._ensure_workers(n)
+        job.fmats = [np.ascontiguousarray(f, dtype=np.float64) for f in job.fmats]
+        tel = current_telemetry()
+        job.pool = self._segment_pool() if self._use_shm(job.cfg) else None
+        job.budget = job.cfg.memory_budget_bytes
+        if job.budget > 0 and tel.enabled:
+            tel.gauge("engine.proc.memory_budget", float(job.budget))
+        job.peaks = [0] * n
+        job.views, job.leases, job.fmat_leases = [None] * n, [None] * n, []
+        shm_base = None
+        if job.pool is not None:
+            shm_base = self._publish(job, faults, events)
+        job.transport = "pipe" if job.pool is None else "shm"
+        job.sent = [self._send(job, i, shm_base, plan_ref) for i in range(n)]
 
-    def _collect(
-        self, workers, i, stream, fmats, mode, out_rows, rank, cfg,
-        events, *, out_view=None, oom=False,
-    ) -> tuple:
+    def _publish(self, job, faults, events) -> dict | None:
+        """Lease and fill every shm segment of the dispatch up front.
+
+        Returns the descriptor base every task extends, or ``None`` after
+        a lease failure downgraded the whole dispatch to the pipe
+        transport — before any task ships with a half-published
+        descriptor set.
+        """
+        from repro.engine.backends.shm import ShmExhausted
+
+        pool = job.pool
+        pool.budget_bytes = job.budget
+        # getattr: chaos-suite test doubles implement only the draw hooks
+        # they exercise.
+        draw_shm = getattr(faults, "draw_shm_fault", None)
+        if draw_shm is not None and draw_shm(mode=job.mode, events=events):
+            pool.fail_next_lease = True
+        try:
+            # One write, N readers: each factor matrix is published once
+            # per dispatch; every task carries only names and shapes.
+            fmat_descs = []
+            for f in job.fmats:
+                lease = pool.lease(f.nbytes)
+                job.fmat_leases.append(lease)
+                lease.view(f.shape)[...] = f
+                fmat_descs.append({"name": lease.name, "shape": f.shape})
+            for i in range(len(job.streams)):
+                job.leases[i] = pool.lease(job.out_rows * job.rank * 8)
+                job.views[i] = job.leases[i].view((job.out_rows, job.rank))
+                # run_stream assigns segment sums into disjoint rows; rows
+                # no nonzero touches must be exact zeros, and a reused
+                # segment still holds the previous dispatch.
+                job.views[i][...] = 0.0
+            return {"gen": pool.next_generation(), "fmats": fmat_descs}
+        except ShmExhausted as exc:
+            # /dev/shm pressure (budget, kernel, or injected fault): this
+            # dispatch pickles over the pipes — bit-identical, only the
+            # transport differs.
+            self._close(job)
+            n = len(job.streams)
+            job.pool, job.fmat_leases = None, []
+            job.views, job.leases = [None] * n, [None] * n
+            current_telemetry().counter("engine.shm.downgrades")
+            if events is not None:
+                events.record(
+                    TRANSPORT_DOWNGRADED, "MTTKRP", mode=job.mode,
+                    detail=f"shm lease failed ({exc}); dispatch fell "
+                           f"back to the pipe transport",
+                    error=str(exc),
+                )
+            return None
+
+    def _send(self, job, i: int, shm_base, plan_ref) -> bool:
+        """Deliver shard *i*'s task; whether it is in flight. A failed
+        delivery is collected as a lost worker."""
+        task = {
+            "mode": job.mode, "out_rows": job.out_rows, "rank": job.rank,
+            "chunk": job.cfg.chunk, "shard": i, "n_shards": job.cfg.shards,
+            "telemetry": job.capture, "faults": job.faults[i],
+            "delay": job.delay, "stream": None,
+        }
+        if shm_base is not None:
+            task["shm"] = dict(shm_base, out={
+                "name": job.leases[i].name, "shape": (job.out_rows, job.rank),
+            })
+        else:
+            task["fmats"] = job.fmats
+        if plan_ref is not None:
+            task["store"], task["key"] = os.fspath(plan_ref[0]), plan_ref[1]
+        else:
+            task["stream"] = job.streams[i]
+        try:
+            job.workers[i].conn.send(task)
+            return True
+        except (OSError, ValueError):
+            return False
+
+    def _wait(self, job, i, deadline):
         """Watchdog loop for one outstanding shard result.
 
-        Returns ``(partial, batches, redone, peak_rss)``: the shard
-        accumulator, the worker telemetry batches to merge under this
-        shard's span (the piggybacked reply batch; on an in-worker
-        exception, the failed attempt's batch *and* the redo's), whether
-        the shard was re-executed serially, and the worker's peak RSS in
-        bytes as sampled over this collection (0 where procfs is
-        unavailable).
-
-        The straggler deadline is anchored **here**, when this shard's
-        collection begins — never at dispatch — so time spent collecting
-        earlier shards (or serially redoing one) can never eat a later,
-        healthy shard's budget. *out_view* is the parent-side view of the
-        shard's shm accumulator (``None`` on the pipe transport): an
-        ``"ok"`` reply means the worker filled it in place. *oom* marks a
-        shard carrying the injected ``oom_worker`` fault, so its silent
-        death is reported as a memory-pressure kill rather than a generic
-        crash.
+        Samples the worker's RSS once per heartbeat (the gauge stream the
+        doctor and the recycle decision rank against the budget), and
+        reports a dead worker, a broken pipe or a failed delivery as a
+        lost worker and a live worker past *deadline* as a timeout —
+        killing and respawning it either way. An ``"ok"`` reply on the
+        shm transport means the worker filled the shard's segment in
+        place.
         """
         tel = current_telemetry()
-        worker = workers[i]
-        peak_rss = 0
-        deadline = _NO_DEADLINE
-        if cfg.shard_timeout > 0.0:
-            deadline = time.monotonic() + cfg.shard_timeout
-        while True:
-            # One RSS sample per heartbeat: the gauge stream is what the
-            # doctor (and the recycle decision) ranks against the budget.
+        worker = job.workers[i]
+        context = "task delivery failed"
+        while job.sent[i]:
             rss = _read_rss(worker.proc.pid)
-            if rss > peak_rss:
-                peak_rss = rss
+            if rss > job.peaks[i]:
+                job.peaks[i] = rss
                 if tel.enabled:
                     tel.gauge("engine.proc.worker_rss", float(rss), worker=i)
             try:
                 if worker.conn.poll(HEARTBEAT):
                     status, payload, batch = worker.conn.recv()
                     if status == "ok":
-                        partial = out_view if out_view is not None else payload
-                        return partial, [batch], False, peak_rss
-                    # In-worker exception: worker survives, shard redone.
-                    tel.counter("engine.shard.retries")
-                    if isinstance(payload, str) and payload.startswith(
-                        "ShmAttachError"
-                    ):
+                        view = job.views[i]
+                        return OK, payload if view is None else view, [batch]
+                    # In-worker exception: the worker survives.
+                    if payload.startswith("ShmAttachError"):
                         tel.counter("engine.shm.attach_failures")
-                    if events is not None:
-                        events.record(
-                            SHARD_RETRY, "MTTKRP", mode=mode,
-                            detail=f"shard {i} worker raised ({payload}); "
-                                   f"re-executed serially",
-                            shard=i, nnz=stream.nnz,
-                        )
-                    partial, redo_batch = self._redo_captured(
-                        stream, fmats, mode, out_rows, rank, cfg.chunk, i,
-                        enabled=tel.enabled,
-                    )
-                    return partial, [batch, redo_batch], True, peak_rss
+                    self._discard(job, i)
+                    return RAISED, {"why": payload}, [batch]
             except (EOFError, OSError):
-                # The task pipe broke. The worker may well still be alive
-                # (wedged in a long shard, or its FD closed under it) but
-                # can never deliver this result — spinning on liveness
-                # would hang forever with shard_timeout=0. Treat it as a
-                # lost worker: record, respawn, redo serially. A dying
-                # worker's pipe EOF can race its reapability, so grant a
-                # short grace first — a real death is then reported with
-                # its exitcode/signal instead of "became unreachable".
+                # The pipe broke: even a live (wedged) worker can never
+                # deliver. A dying worker's EOF can race its reapability,
+                # so grant a short grace to report its real exit status.
                 worker.proc.join(timeout=0.2)
-                self._record_lost(
-                    worker, i, mode, events,
-                    context="OOM-killed (injected memory pressure)"
-                    if oom else "task pipe broke",
-                )
-                workers[i] = self._respawn(i)
-                partial, batch = self._redo_captured(
-                    stream, fmats, mode, out_rows, rank, cfg.chunk, i,
-                    enabled=tel.enabled,
-                )
-                return partial, [batch], True, peak_rss
+                context = "task pipe broke"
+                break
             if not worker.alive():
-                self._record_lost(
-                    worker, i, mode, events,
-                    context="OOM-killed (injected memory pressure)"
-                    if oom else None,
-                )
-                workers[i] = self._respawn(i)
-                partial, batch = self._redo_captured(
-                    stream, fmats, mode, out_rows, rank, cfg.chunk, i,
-                    enabled=tel.enabled,
-                )
-                return partial, [batch], True, peak_rss
-            if time.monotonic() >= deadline:
-                # Straggler: kill it (its private accumulator dies with it)
-                # and redo the shard serially, bit-identically.
-                tel.counter("engine.shard.timeouts")
-                if events is not None:
-                    events.record(
-                        SHARD_TIMEOUT, "MTTKRP", mode=mode,
-                        detail=f"shard {i} missed its {cfg.shard_timeout:g}s "
-                               f"deadline; worker killed and shard "
-                               f"re-executed serially",
-                        shard=i, nnz=stream.nnz,
-                    )
-                self._respawn(i)
-                workers[i] = self._workers[i]
-                partial, batch = self._redo_captured(
-                    stream, fmats, mode, out_rows, rank, cfg.chunk, i,
-                    enabled=tel.enabled,
-                )
-                return partial, [batch], True, peak_rss
+                context = None
+                break
+            if deadline is not None and time.monotonic() >= deadline:
+                # Straggler: killed, its private accumulator dies with it.
+                job.workers[i] = self._respawn(i)
+                self._discard(job, i)
+                return TIMEOUT, {}, []
+        if job.sent[i] and "oom_worker" in job.faults[i]:
+            context = "OOM-killed (injected memory pressure)"
+        exitcode = worker.proc.exitcode
+        if exitcode is not None and exitcode < 0:
+            how = f"died on signal {signal.Signals(-exitcode).name}"
+        elif exitcode is not None:
+            how = f"exited with code {exitcode}"
+        else:
+            how = "became unreachable"  # live worker behind a dead pipe
+        job.workers[i] = self._respawn(i)
+        self._discard(job, i)
+        why = f"{how} ({context})" if context else how
+        return LOST, {"why": why, "exitcode": exitcode}, []
+
+    def _discard(self, job, i: int) -> None:
+        # Fault hygiene: the abandoned shm accumulator (a killed worker may
+        # have been mid-write into it) is never read and never recycled.
+        if job.leases[i] is not None:
+            job.views[i] = None
+            job.pool.discard(job.leases[i])
+            job.leases[i] = None
+
+    def _settle(self, job, i, redone, events) -> None:
+        peak = job.peaks[i]
+        if 0 < job.budget < peak and not redone and job.workers[i].alive():
+            # Memory pressure: the shard result is already collected, so a
+            # graceful replacement at the shard boundary cannot affect
+            # bit-identity — it just returns the memory.
+            job.workers[i] = self._recycle(i, peak, job.budget, job.mode, events)
+
+    def _finish(self, job, reduced):
+        tel = current_telemetry()
+        peak = max(job.peaks)
+        # Gauges keep last-value semantics; the peak gauge is kept monotone
+        # across dispatches so end-of-run summaries (and the doctor) see
+        # the run's true high-water mark.
+        if tel.enabled and peak > tel.metrics.gauges.get(
+            "engine.proc.worker_rss_peak", 0.0
+        ):
+            tel.gauge("engine.proc.worker_rss_peak", float(peak))
+        # The reduction root may be an shm view; the caller owns the result
+        # beyond this dispatch's leases.
+        return reduced if job.pool is None else np.array(reduced, copy=True)
+
+    def _close(self, job) -> None:
+        if job.pool is not None:
+            job.views = None  # drop segment views first
+            for lease in job.fmat_leases + job.leases:
+                if lease is not None:
+                    job.pool.release(lease)
 
     def _recycle(self, index, rss, budget, mode, events) -> _Worker:
         """Gracefully replace a worker whose RSS breached the memory budget.
@@ -777,23 +637,3 @@ class ProcessBackend(ExecutionBackend):
                 worker=index, rss=int(rss), budget=int(budget),
             )
         return self._workers[index]
-
-    def _record_lost(self, worker, i, mode, events, *, context=None) -> None:
-        exitcode = worker.proc.exitcode
-        if exitcode is not None and exitcode < 0:
-            how = f"died on signal {signal.Signals(-exitcode).name}"
-        elif exitcode is not None:
-            how = f"exited with code {exitcode}"
-        else:
-            # Still-live worker behind a broken pipe, or a delivery race.
-            how = "became unreachable"
-        if context:
-            how = f"{how} ({context})"
-        current_telemetry().counter("engine.backend.workers_lost")
-        if events is not None:
-            events.record(
-                WORKER_LOST, "MTTKRP", mode=mode,
-                detail=f"shard {i} worker process {how}; worker respawned "
-                       f"and shard re-executed serially",
-                shard=i, exitcode=exitcode,
-            )

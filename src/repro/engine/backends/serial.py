@@ -1,49 +1,21 @@
 """Serial backend: shard streams executed inline, one after another.
 
-The degenerate rung of the backend ladder — no workers, so nothing can
-crash or straggle, and execution faults targeting workers have nothing to
-hit (they are not drawn, keeping a serial run's injector RNG stream
-aligned with a run that never shards). Exists so ``EngineConfig.backend``
-is total: ``backend="serial"`` with ``shards > 1`` still partitions and
-tree-reduces — bit-identical to every parallel backend by the shared
-contract — which is what the equivalence suite leans on.
+The degenerate rung of the backend ladder: it adds nothing to the inline
+primitives of :class:`~repro.engine.backends.base.ExecutionBackend`, and
+draws no worker faults (no worker can crash or straggle; see the base
+module for the shared loop and recovery contract). Exists so
+``EngineConfig.backend`` is total: ``backend="serial"`` with
+``shards > 1`` still partitions and tree-reduces — bit-identical to every
+parallel backend — which is what the equivalence suite leans on.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.engine.backends.base import (
-    ExecutionBackend,
-    run_shard_captured,
-    tree_reduce,
-)
-from repro.obs import current_telemetry
+from repro.engine.backends.base import ExecutionBackend
 
 __all__ = ["SerialBackend"]
 
 
 class SerialBackend(ExecutionBackend):
     name = "serial"
-
-    def run_shards(
-        self, streams, fmats, mode, out_rows, rank, cfg, *,
-        faults=None, events=None, plan_ref=None,
-    ) -> np.ndarray:
-        self._announce(streams)
-        tel = current_telemetry()
-        anchor = tel.current_span_id()
-        partials = []
-        for i, stream in enumerate(streams):
-            t0 = tel.now()
-            partial, batch = run_shard_captured(
-                stream, fmats, mode,
-                np.zeros((out_rows, rank), dtype=np.float64), cfg.chunk, i,
-                enabled=tel.enabled,
-            )
-            self._finish_shard(
-                tel, anchor, t0, i, stream.nnz, [batch],
-                captured=tel.enabled, transport="inline",
-            )
-            partials.append(partial)
-        return tree_reduce(partials)
+    draws_faults = False

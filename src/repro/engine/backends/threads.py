@@ -1,22 +1,18 @@
 """Thread-pool backend: shards on a shared in-process executor.
 
-This is the historical ``run_shards`` path of :mod:`repro.engine.execute`,
-moved behind the backend seam and given a real pool lifecycle: pools are
-created per worker-count on demand, torn down by :meth:`shutdown` (wired
-into :func:`repro.engine.backends.shutdown_backends` and its ``atexit``
-hook), and never survive a ``fork`` — a forked child only inherits the
-forking thread, so an inherited executor would accept work that no thread
-will ever run; the backend registry drops every backend instance in the
-child via ``os.register_at_fork``, and this backend additionally discards
-its pools if it ever observes a changed PID.
+Pools are created per worker-count on demand, torn down by
+:meth:`~ThreadsBackend.shutdown` (wired into
+:func:`repro.engine.backends.shutdown_backends` and its ``atexit`` hook),
+and never survive a ``fork`` — a forked child only inherits the forking
+thread, so an inherited executor would accept work that no thread will
+ever run; the backend registry drops every backend instance in the child
+via ``os.register_at_fork``, and this backend additionally discards its
+pools if it ever observes a changed PID.
 
-Fault handling: a worker that raises mid-shard (including an injected
-``worker_crash``) or misses the per-shard ``shard_timeout`` deadline is
-re-executed serially on the dispatching thread, counted
-(``engine.shard.retries`` / ``engine.shard.timeouts``) and logged
-(``shard_retry`` / ``shard_timeout``). An injected ``kill_worker`` fault —
-a *process*-grade fault — degrades to ``worker_crash`` here, since a
-thread cannot be SIGKILLed without taking the whole process down.
+The primitives: ``_submit`` hands every shard to the pool, ``_wait``
+waits on its future until the shard's deadline. A straggler that misses
+it is abandoned — it finishes into its orphaned buffer — and the shared
+loop of :mod:`repro.engine.backends.base` redoes the shard serially.
 """
 
 from __future__ import annotations
@@ -26,41 +22,25 @@ import os
 import threading
 import time
 
-import numpy as np
-
 from repro.engine.backends.base import (
+    OK,
+    RAISED,
+    TIMEOUT,
     ExecutionBackend,
+    apply_shard_faults,
     run_shard_captured,
-    tree_reduce,
 )
-from repro.obs import current_telemetry
-from repro.resilience.events import SHARD_RETRY, SHARD_TIMEOUT
 
 __all__ = ["ThreadsBackend"]
 
 
-def _chaos_worker(
-    stream, fmats, mode, partial, chunk, shard, *,
-    crash=False, oom=False, delay=0.0, capture=True,
+def _run_on_thread(
+    stream, fmats, mode, out, chunk, shard, *, kinds, delay, capture
 ):
-    """Shard worker wrapper carrying the injected execution faults.
-
-    Pool threads never inherit the ambient contextvars session, so — like
-    a process worker — the shard runs under its own local capture session
-    and ships the batch back with the partial: ``(partial, batch)``.
-    """
-    if delay > 0.0:
-        time.sleep(delay)
-    if oom:
-        # A thread cannot be OOM-killed on its own; the honest in-process
-        # analogue of memory pressure is the allocator failing.
-        raise MemoryError(f"injected worker OOM on mode-{mode} shard")
-    if crash:
-        from repro.resilience.faults import InjectedWorkerCrash
-
-        raise InjectedWorkerCrash(f"injected worker crash on mode-{mode} shard")
+    """Pool-thread body: the shard's injected faults, then the shard."""
+    apply_shard_faults(kinds, delay, mode, can_kill=False)
     return run_shard_captured(
-        stream, fmats, mode, partial, chunk, shard, enabled=capture
+        stream, fmats, mode, out, chunk, shard, enabled=capture
     )
 
 
@@ -98,89 +78,30 @@ class ThreadsBackend(ExecutionBackend):
             pool.shutdown(wait=False, cancel_futures=True)
 
     # ------------------------------------------------------------------ #
-    def run_shards(
-        self, streams, fmats, mode, out_rows, rank, cfg, *,
-        faults=None, events=None, plan_ref=None,
-    ) -> np.ndarray:
-        self._announce(streams)
-        tel = current_telemetry()
-
-        injected: dict[str, int] = {}
-        delay = 0.0
-        if faults is not None:
-            injected = faults.draw_shard_faults(
-                len(streams), mode=mode, events=events
-            )
-            if "slow_shard" in injected:
-                delay = faults.slow_shard_delay()
-        # kill_worker is a process-isolation fault; on threads the closest
-        # honest equivalent is an in-worker crash.
-        crash_shard = injected.get("worker_crash", injected.get("kill_worker"))
-
-        partials = [
-            np.zeros((out_rows, rank), dtype=np.float64) for _ in streams
-        ]
-        pool = self._pool(len(streams))
-        anchor = tel.current_span_id()
-        t_dispatch = tel.now()
-        futures = [
+    def _submit(self, job, faults, plan_ref, events) -> None:
+        pool = self._pool(len(job.streams))
+        job.transport = "threads"
+        # Threads get the shard's inputs, not the shared job: on a 2-vCPU
+        # host, pool threads reading the job measured 10-20% more CPU time
+        # in run_stream on mttkrp-delicious (cause not pinned down).
+        outs = [job.zeros() for _ in job.streams]
+        job.futures = [
             pool.submit(
-                _chaos_worker, stream, fmats, mode, partial, cfg.chunk, i,
-                crash=crash_shard == i,
-                oom=injected.get("oom_worker") == i,
-                delay=delay if injected.get("slow_shard") == i else 0.0,
-                capture=tel.enabled,
+                _run_on_thread, stream, job.fmats, job.mode, out,
+                job.cfg.chunk, i, kinds=job.faults[i], delay=job.delay,
+                capture=job.capture,
             )
-            for i, (stream, partial) in enumerate(zip(streams, partials))
+            for i, (stream, out) in enumerate(zip(job.streams, outs))
         ]
-        for i, future in enumerate(futures):
-            # Each shard's straggler budget is anchored when its own
-            # collection begins (matching the processes watchdog): time
-            # spent waiting on — or serially redoing — earlier shards
-            # never erodes a later, healthy shard's deadline.
-            budget = cfg.shard_timeout if cfg.shard_timeout > 0.0 else None
-            redone = False
-            try:
-                partials[i], batch = future.result(timeout=budget)
-            except concurrent.futures.TimeoutError:
-                # Straggler: abandon the in-flight worker (it finishes into
-                # its orphaned buffer) and redo the shard serially.
-                tel.counter("engine.shard.timeouts")
-                if events is not None:
-                    events.record(
-                        SHARD_TIMEOUT, "MTTKRP", mode=mode,
-                        detail=f"shard {i}/{len(streams)} missed its "
-                               f"{cfg.shard_timeout:g}s deadline; "
-                               f"re-executed serially",
-                        shard=i, nnz=streams[i].nnz,
-                    )
-                partials[i], batch = self._redo_captured(
-                    streams[i], fmats, mode, out_rows, rank, cfg.chunk, i,
-                    enabled=tel.enabled,
-                )
-                redone = True
-            except Exception as exc:
-                # Worker died mid-shard: deterministic serial re-execution.
-                # If the shard is genuinely poisoned (e.g. a corrupted
-                # plan), the serial pass raises too and the caller's
-                # plan-repair fires.
-                tel.counter("engine.shard.retries")
-                if events is not None:
-                    events.record(
-                        SHARD_RETRY, "MTTKRP", mode=mode,
-                        detail=f"shard {i}/{len(streams)} worker died "
-                               f"({type(exc).__name__}: {exc}); "
-                               f"re-executed serially",
-                        shard=i, nnz=streams[i].nnz,
-                    )
-                partials[i], batch = self._redo_captured(
-                    streams[i], fmats, mode, out_rows, rank, cfg.chunk, i,
-                    enabled=tel.enabled,
-                )
-                redone = True
-            self._finish_shard(
-                tel, anchor, t_dispatch, i, streams[i].nnz, [batch],
-                redone=redone, captured=tel.enabled,
-                transport="inline" if redone else "threads",
-            )
-        return tree_reduce(partials)
+
+    def _wait(self, job, i, deadline):
+        timeout = None
+        if deadline is not None:
+            timeout = max(0.0, deadline - time.monotonic())
+        try:
+            partial, batch = job.futures[i].result(timeout=timeout)
+        except concurrent.futures.TimeoutError:
+            return TIMEOUT, {}, []
+        except Exception as exc:
+            return RAISED, {"why": f"{type(exc).__name__}: {exc}"}, []
+        return OK, partial, [batch]

@@ -22,17 +22,13 @@ zeros).
 *Where* shards run is the :mod:`repro.engine.backends` seam:
 ``EngineConfig.backend`` selects inline execution (``serial``), the shared
 thread pool (``threads``, the default), or isolated worker processes with
-real crash recovery (``processes``). All backends honor one contract — a
-shard whose worker raises, misses the ``shard_timeout`` deadline, or
-(process backend) dies outright is re-executed serially on the dispatching
-thread into a fresh private accumulator, deterministically bit-identical,
-with the recovery counted (``engine.shard.retries`` / ``.timeouts`` /
-``engine.backend.workers_lost``) and logged as ``shard_retry`` /
-``shard_timeout`` / ``worker_lost`` resilience events. The chaos harness
-drives the same paths on purpose through
-:class:`~repro.resilience.faults.FaultInjector`'s ``EXECUTE`` fault kinds
-(``worker_crash`` / ``slow_shard`` / ``kill_worker``), drawn from its
-seeded RNG in the dispatching thread so campaigns replay exactly.
+real crash recovery (``processes``). One shard loop,
+:meth:`~repro.engine.backends.base.ExecutionBackend.run_shards`, serves
+all three and owns the recovery contract (see
+:mod:`repro.engine.backends.base`). The chaos harness drives its recovery
+paths on purpose through :class:`~repro.resilience.faults.FaultInjector`'s
+``EXECUTE`` fault kinds, drawn from its seeded RNG in the dispatching
+thread so campaigns replay exactly.
 """
 
 from __future__ import annotations
@@ -87,15 +83,11 @@ def run_shards(
     """Execute per-worker shard streams with crash/straggler recovery.
 
     Thin dispatcher over the backend selected by ``cfg.backend`` (see
-    :mod:`repro.engine.backends`). Every shard accumulates into a private
-    ``(out_rows, rank)`` buffer and the buffers are tree-reduced; failed
-    shards are redone serially on this thread — bit-identical on every
-    backend, because shard summation order is private and output rows are
-    disjoint.
+    :mod:`repro.engine.backends`).
     """
     from repro.engine.backends import get_backend
 
-    backend = get_backend(getattr(cfg, "backend", "threads"))
+    backend = get_backend(cfg.backend)
     return backend.run_shards(
         streams, fmats, mode, out_rows, rank, cfg,
         faults=faults, events=events, plan_ref=plan_ref,
@@ -111,10 +103,8 @@ def run_plan(
         streams = plan.shard_streams(cfg.shards)
         if len(streams) > 1:
             plan_ref = None
-            store_root = getattr(cfg, "plan_store", None)
-            store_key = getattr(plan, "store_key", None)
-            if store_root is not None and store_key is not None:
-                plan_ref = (store_root, store_key)
+            if cfg.plan_store is not None and plan.store_key is not None:
+                plan_ref = (cfg.plan_store, plan.store_key)
             return run_shards(
                 streams, fmats, mode, out_rows, rank, cfg,
                 faults=faults, events=events, plan_ref=plan_ref,

@@ -119,25 +119,21 @@ class BlcoTensor:
             linear = linear[order]
             values = tensor.values[order]
             starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-            bounds = np.append(starts, nnz)
-            for b, start in enumerate(starts):
-                stop = bounds[b + 1]
-                k = int(key[start])
-                high_vals = np.array(
-                    [
-                        (k >> high_off[m]) & ((1 << high[m]) - 1) if high[m] else 0
-                        for m in range(len(widths))
-                    ],
-                    dtype=np.int64,
+            # Every block header decoded in one array expression; a mode
+            # with no high bits has an all-zero mask.
+            block_key = key[starts]
+            highs = (
+                block_key[:, None] >> np.asarray(high_off, dtype=np.int64)
+            ) & ((np.int64(1) << np.asarray(high, dtype=np.int64)) - 1)
+            bounds = np.append(starts, nnz).tolist()
+            blocks = [
+                BlcoBlock(
+                    key=k, high=h, linear=linear[a:b], values=values[a:b]
                 )
-                blocks.append(
-                    BlcoBlock(
-                        key=k,
-                        high=high_vals,
-                        linear=np.ascontiguousarray(linear[start:stop]),
-                        values=np.ascontiguousarray(values[start:stop]),
-                    )
+                for k, h, a, b in zip(
+                    block_key.tolist(), highs, bounds[:-1], bounds[1:]
                 )
+            ]
         return cls(tensor.shape, low, high, blocks)
 
     def to_coo(self) -> SparseTensor:

@@ -268,6 +268,32 @@ class TestBrokenPipe:
         assert counters["engine.backend.respawns"] >= 1
 
 
+    def test_failed_task_delivery_is_a_lost_worker(self, tensor, factors):
+        """Regression: a task that could not be delivered bumped
+        ``engine.backend.workers_lost`` but logged no ``worker_lost``
+        event. Delivery failure is now the shared lost-worker outcome."""
+        ref = mttkrp_coo(tensor, factors, 0)
+        backend = ProcessBackend()
+        streams = PlanCache().plan(tensor, 0).shard_streams(2)
+        backend._ensure_workers(2)[0].conn.close()
+        events = EventLog()
+        try:
+            with telemetry_session() as tel:
+                got = backend.run_shards(
+                    streams, [np.asarray(f) for f in factors], 0,
+                    tensor.shape[0], 6,
+                    EngineConfig(shards=2, backend="processes"),
+                    events=events,
+                )
+        finally:
+            backend.shutdown()
+        assert np.array_equal(ref, got)
+        (lost,) = events.of_kind("worker_lost")
+        assert lost.data["shard"] == 0
+        assert "task delivery failed" in lost.detail
+        assert tel.metrics.summary()["counters"]["engine.backend.workers_lost"] == 1
+
+
 class TestForkSafety:
     def test_forked_child_closes_inherited_pipe_fds(self):
         """Regression: a forked child used to keep the inherited parent

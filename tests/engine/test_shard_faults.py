@@ -92,6 +92,48 @@ class TestWorkerCrashRecovery:
             )
 
 
+    def test_threads_kill_degrades_to_crash_alongside_a_crash(
+        self, tensor, factors
+    ):
+        """Regression: on threads a ``kill_worker`` drawn in the same
+        dispatch as a ``worker_crash`` on another shard was logged as
+        injected but never applied. Each fault now hits its own shard."""
+
+        class _CrashAndKill:
+            def draw_shard_faults(self, n_shards, *, mode=None, events=None):
+                return {"worker_crash": 0, "kill_worker": 1}
+
+        cfg = EngineConfig(shards=3, backend="threads")
+        streams = PlanCache().plan(tensor, 0).shard_streams(cfg.shards)
+        events = EventLog()
+        got = run_shards(
+            streams, [np.asarray(f) for f in factors], 0, tensor.shape[0], 6,
+            cfg, faults=_CrashAndKill(), events=events,
+        )
+        assert np.array_equal(got, mttkrp_coo(tensor, factors, 0))
+        retries = events.of_kind("shard_retry")
+        assert [ev.data["shard"] for ev in retries] == [0, 1]
+        assert all("InjectedWorkerCrash" in ev.detail for ev in retries)
+
+    def test_serial_draws_no_shard_faults(self, tensor, factors):
+        """Serial execution has no worker to hit: the injector's worker
+        faults are never drawn, so its RNG stream stays where it was."""
+        inj = FaultInjector(
+            FaultSpec("EXECUTE", "worker_crash", probability=1.0), seed=5
+        )
+        state = inj.rng_state()
+        events = EventLog()
+        got = engine_mttkrp(
+            tensor, factors, 0, "coo",
+            EngineConfig(shards=3, backend="serial"), PlanCache(),
+            faults=inj, events=events,
+        )
+        assert np.array_equal(got, mttkrp_coo(tensor, factors, 0))
+        assert inj.injected == 0
+        assert inj.rng_state() == state
+        assert len(events) == 0
+
+
 class TestSlowShardTimeout:
     def test_straggler_times_out_and_recovers(self, tensor, factors):
         ref = mttkrp_coo(tensor, factors, 0)
@@ -201,6 +243,43 @@ class TestChaosDeterminism:
                     for e in events]
 
         assert campaign() == campaign()
+
+    def test_threads_campaign_replays_pinned_event_stream(self, tensor, factors):
+        """A threads campaign over every worker fault kind — crash, kill
+        (degraded to a crash), OOM (a MemoryError) and a straggler past
+        ``shard_timeout`` — logs exactly this ``(kind, mode, shard)``
+        stream. The list pins the shared shard loop's event order: which
+        outcome each shard maps to, and when it is recorded."""
+        inj = FaultInjector(
+            [
+                FaultSpec("EXECUTE", "worker_crash", probability=0.4),
+                FaultSpec(
+                    "EXECUTE", "slow_shard", probability=0.3, magnitude=0.2
+                ),
+                FaultSpec("EXECUTE", "kill_worker", probability=0.3),
+                FaultSpec("EXECUTE", "oom_worker", probability=0.3),
+            ],
+            seed=7,
+        )
+        events = EventLog()
+        cache = PlanCache()
+        cfg = EngineConfig(shards=3, backend="threads", shard_timeout=0.05)
+        for _ in range(2):
+            for mode in range(tensor.ndim):
+                got = engine_mttkrp(
+                    tensor, factors, mode, "coo", cfg, cache,
+                    faults=inj, events=events,
+                )
+                assert np.array_equal(got, mttkrp_coo(tensor, factors, mode))
+        assert [(e.kind, e.mode, e.data.get("shard")) for e in events] == [
+            ("fault_injected", 0, 1), ("shard_retry", 0, 1),
+            ("fault_injected", 1, 0), ("shard_timeout", 1, 0),
+            ("fault_injected", 2, 1), ("shard_retry", 2, 1),
+            ("fault_injected", 1, 0), ("fault_injected", 1, 1),
+            ("shard_retry", 1, 0), ("shard_retry", 1, 1),
+            ("fault_injected", 2, 2), ("fault_injected", 2, 0),
+            ("shard_timeout", 2, 0), ("shard_retry", 2, 2),
+        ]
 
     def test_injected_crash_exception_type(self):
         with pytest.raises(InjectedWorkerCrash):

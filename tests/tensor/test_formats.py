@@ -106,6 +106,32 @@ class TestBlco:
         b = BlcoTensor.from_coo(small4, bit_budget=9)
         assert sum(b.low_widths) <= 9
 
+    def test_many_blocks_roundtrip_and_headers(self):
+        """A tight budget splits thousands of blocks; every block header
+        must equal its key's per-mode high fields, and every nonzero in a
+        block must carry exactly those high bits."""
+        t = random_sparse((300, 200, 120), nnz=4000, seed=11)
+        b = BlcoTensor.from_coo(t, bit_budget=8)
+        assert b.num_blocks > 1000
+        assert b.to_coo().allclose(t)
+        high = b.high_widths
+        shift = 0
+        offsets = [0] * b.ndim
+        for m in reversed(range(b.ndim)):
+            offsets[m], shift = shift, shift + high[m]
+        for blk in b.blocks:
+            assert blk.high.dtype == np.int64
+            assert blk.linear.flags.c_contiguous
+            expected = [(blk.key >> offsets[m]) & ((1 << high[m]) - 1)
+                        for m in range(b.ndim)]
+            assert np.array_equal(blk.high, expected)
+            for m in range(b.ndim):
+                coords = b.block_mode_indices(blk, m)
+                assert np.array_equal(
+                    coords >> b.low_widths[m],
+                    np.full(blk.nnz, blk.high[m]),
+                )
+
     def test_empty(self):
         t = SparseTensor(np.zeros((0, 2), dtype=np.int64), np.zeros(0), (8, 8))
         b = BlcoTensor.from_coo(t)
