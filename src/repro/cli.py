@@ -192,11 +192,6 @@ def _add_engine_args(p) -> None:
                         "are recycled at shard boundaries, and the "
                         "shared-memory transport trims/downgrades instead "
                         "of exceeding it (0 = unbounded)")
-    p.add_argument("--disk-budget", type=int, default=None, metavar="BYTES",
-                   help="resource-pressure disk budget in bytes (overrides "
-                        "--engine): default on-disk bound for the plan "
-                        "store when --plan-store-bytes is unset "
-                        "(0 = unbounded)")
 
 
 def _engine_setting(args):
@@ -218,8 +213,6 @@ def _engine_setting(args):
         overrides["shm"] = args.shm
     if getattr(args, "memory_budget", None) is not None:
         overrides["memory_budget_bytes"] = args.memory_budget
-    if getattr(args, "disk_budget", None) is not None:
-        overrides["disk_budget_bytes"] = args.disk_budget
     if overrides:
         return overrides
     return getattr(args, "engine", "on")
@@ -552,10 +545,6 @@ def _cmd_perf(args, out) -> int:
         rate = hits / (hits + misses)
         print(f"engine plan cache: {int(hits)} hits, {int(misses)} misses "
               f"({100 * rate:.1f}% hit rate)", file=out)
-        rescales = counters.get("engine.gram.rescales", 0)
-        if rescales:
-            print(f"engine gram rescales: {int(rescales)} "
-                  f"(rank-one λ-rescale instead of full Gram GEMMs)", file=out)
         gauges = summary.get("gauges", {})
         workers = gauges.get("engine.shard.workers")
         if workers:

@@ -78,10 +78,9 @@ class CstfConfig:
         isolated worker processes), a dict of
         :class:`~repro.engine.EngineConfig` fields, or an ``EngineConfig``;
         normalized to an ``EngineConfig``. ``"off"``/``False`` raise
-        ``ValueError`` (the seed-kernel path was removed). Apart from the
-        opt-in ``gram_rescale`` knob, every setting gives bit-identical
-        factors and charges identical simulated device costs; only host
-        wall-clock changes. Concrete runs keep their tensor, its format
+        ``ValueError`` (the seed-kernel path was removed). Every setting
+        gives bit-identical factors and charges identical simulated device
+        costs; only host wall-clock changes. Concrete runs keep their tensor, its format
         conversions and its plans in the process-wide plan cache
         (:func:`~repro.engine.get_plan_cache`, an LRU of
         ``PlanCache.max_tensors`` = 16 tensors, which no ``EngineConfig``
@@ -122,11 +121,6 @@ class CstfConfig:
         require(
             self.on_iteration is None or callable(self.on_iteration),
             "on_iteration must be callable (or None)",
-        )
-        require(
-            not self.engine.gram_rescale or self.normalize == "2",
-            'engine.gram_rescale requires normalize="2" (λ² is diag(G) only '
-            "under the Euclidean column-norm convention)",
         )
         self.rank = check_rank(self.rank)
         self.max_iters = check_positive_int(self.max_iters, "max_iters")

@@ -298,19 +298,6 @@ def _cstf_run(tensor, config: CstfConfig, tel) -> CstfResult:
         state[STATE_KEY] = ctx
     ndim = len(shape)
 
-    # Gram λ-rescale (engine opt-in): compute the Gram on the *unnormalized*
-    # update result and rescale it by the column norms instead of running a
-    # separate norm pass. λ² is exactly diag(G) under normalize="2", so the
-    # norm computation comes for free; numerically equivalent but not
-    # bit-identical to the norm pass, hence opt-in and disabled under fault
-    # injection (an injected factor would desynchronize the cached Gram).
-    gram_rescale = (
-        not analytic
-        and config.engine.gram_rescale
-        and config.normalize == "2"
-        and injector is None
-    )
-
     if checkpoint is not None:
         # The Gram cache resumes from the checkpoint verbatim — recomputing
         # it would give the same bits, but the saved arrays are the record.
@@ -382,24 +369,10 @@ def _cstf_run(tensor, config: CstfConfig, tel) -> CstfResult:
                 h_new, ctx, phase=PHASE_UPDATE, what=f"mode-{mode} factor update",
                 mode=mode, iteration=iterations,
             )
-            g_unnorm = None
-            if gram_rescale:
-                # DSYRK on the unnormalized factor; its diagonal doubles as
-                # the squared column norms the normalize step needs.
-                with ex.phase(PHASE_GRAM), tel.span("gram", mode=mode, refresh=True):
-                    g_unnorm = ex.gram(h_new)
             with ex.phase(PHASE_NORMALIZE), tel.span("normalize", mode=mode):
-                if gram_rescale:
-                    lam = np.sqrt(np.diagonal(g_unnorm).copy())
-                    lam = np.where(lam > 0.0, lam, 1.0)
-                    factors[mode] = ex.col_scale(
-                        h_new, 1.0 / lam, name="col_scale_normalize"
-                    )
-                    weights = lam
-                else:
-                    factors[mode], weights = ex.normalize_columns(
-                        h_new, kind=config.normalize
-                    )
+                factors[mode], weights = ex.normalize_columns(
+                    h_new, kind=config.normalize
+                )
             if injector is not None:
                 factors[mode] = injector.inject(
                     PHASE_NORMALIZE, factors[mode], mode=mode,
@@ -414,21 +387,8 @@ def _cstf_run(tensor, config: CstfConfig, tel) -> CstfResult:
                 weights, ctx, phase=PHASE_NORMALIZE, what="weight vector λ",
                 mode=mode, iteration=iterations,
             )
-            if gram_rescale:
-                with ex.phase(PHASE_GRAM), tel.span("gram_rescale", mode=mode):
-                    inv = 1.0 / weights
-                    grams[mode] = g_unnorm * np.outer(inv, inv)
-                    ex.record(
-                        "gram_rescale",
-                        flops=2.0 * rank * rank,
-                        reads=float(rank * rank),
-                        writes=float(rank * rank),
-                        parallel_work=float(rank * rank),
-                    )
-                tel.counter("engine.gram.rescales")
-            else:
-                with ex.phase(PHASE_GRAM), tel.span("gram", mode=mode, refresh=True):
-                    grams[mode] = ex.gram(factors[mode])
+            with ex.phase(PHASE_GRAM), tel.span("gram", mode=mode, refresh=True):
+                grams[mode] = ex.gram(factors[mode])
 
         if not analytic and config.compute_fit:
             with ex.phase(PHASE_FIT), tel.span("fit", iteration=iterations) as fit_span:
@@ -454,15 +414,12 @@ def _cstf_run(tensor, config: CstfConfig, tel) -> CstfResult:
             ):
                 converged = True
 
-        if injector is not None and tel.enabled and injector.draw_disk_full(
-            "sink", iteration=iterations,
-            events=ctx.events if ctx is not None else None,
+        if injector is not None and tel.enabled and injector.fires(
+            "disk_full", target="sink", iteration=iterations, events=events,
         ):
             # The telemetry sink's turn to hit ENOSPC: arm the real
             # degradation path (null sink + obs.sink.dropped) and carry on.
-            arm = getattr(tel, "inject_sink_failure", None)
-            if arm is not None:
-                arm()
+            tel.inject_sink_failure()
 
         if (
             config.checkpoint_every > 0
@@ -516,8 +473,8 @@ def _write_checkpoint(config, update, shape, rank, iteration, factors, weights,
     state_arrays = {k: v for k, v in state.items() if k != STATE_KEY}
     events = ctx.events if ctx is not None else None
     try:
-        if injector is not None and injector.draw_disk_full(
-            "checkpoint", iteration=iteration, events=events
+        if injector is not None and injector.fires(
+            "disk_full", target="checkpoint", iteration=iteration, events=events
         ):
             raise OSError(errno.ENOSPC, "injected disk_full fault")
         save_checkpoint(

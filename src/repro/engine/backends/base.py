@@ -222,15 +222,13 @@ class ExecutionBackend:
         self._announce(streams)
         tel = current_telemetry()
         n = len(streams)
-        injected, delay = {}, 0.0
+        # One set object per shard, as the draw returns: each pool thread
+        # touches only its own shard's (see ThreadsBackend._submit).
+        kinds, delay = [frozenset() for _ in range(n)], 0.0
         if faults is not None and self.draws_faults:
-            injected = faults.draw_shard_faults(n, mode=mode, events=events)
-            if "slow_shard" in injected:
-                delay = faults.slow_shard_delay()
+            kinds, delay = faults.draw_shard_faults(n, mode=mode, events=events)
         job = ShardJob(
-            streams, fmats, mode, out_rows, rank, cfg, tel.enabled,
-            [frozenset(k for k, s in injected.items() if s == i) for i in range(n)],
-            delay,
+            streams, fmats, mode, out_rows, rank, cfg, tel.enabled, kinds, delay
         )
         anchor, t_dispatch = tel.current_span_id(), tel.now()
         self._submit(job, faults, plan_ref, events)

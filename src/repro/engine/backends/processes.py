@@ -444,12 +444,13 @@ class ProcessBackend(ExecutionBackend):
 
         pool = job.pool
         pool.budget_bytes = job.budget
-        # getattr: chaos-suite test doubles implement only the draw hooks
-        # they exercise.
-        draw_shm = getattr(faults, "draw_shm_fault", None)
-        if draw_shm is not None and draw_shm(mode=job.mode, events=events):
-            pool.fail_next_lease = True
         try:
+            if faults is not None and faults.fires(
+                "shm_exhausted", mode=job.mode, events=events
+            ):
+                raise ShmExhausted(
+                    "injected shm_exhausted fault: /dev/shm lease refused"
+                )
             # One write, N readers: each factor matrix is published once
             # per dispatch; every task carries only names and shapes.
             fmat_descs = []

@@ -65,11 +65,11 @@ class ShmExhausted(RuntimeError):
     """A segment lease could not be satisfied under /dev/shm pressure.
 
     Raised by :meth:`SegmentPool.lease` when the memory budget (after
-    trimming every idle segment) still cannot fit the request, when the
-    kernel itself refuses the allocation (a genuinely full /dev/shm), or
-    when the ``shm_exhausted`` chaos fault is armed. The process backend
-    catches it per dispatch and downgrades to the pipe transport
-    (``transport_downgraded``) instead of failing the run.
+    trimming every idle segment) still cannot fit the request, or when the
+    kernel itself refuses the allocation (a genuinely full /dev/shm). The
+    process backend catches it per dispatch — an injected
+    ``shm_exhausted`` fault raises it there too — and downgrades to the
+    pipe transport (``transport_downgraded``) instead of failing the run.
     """
 
 
@@ -191,10 +191,6 @@ class SegmentPool:
         self._generation = 0
         self._pid = os.getpid()
         self.budget_bytes = int(budget_bytes)
-        # Armed by the shm_exhausted chaos fault: the next lease raises
-        # ShmExhausted exactly once, exercising the pipe-downgrade path
-        # without actually filling /dev/shm.
-        self.fail_next_lease = False
 
     # ------------------------------------------------------------------ #
     def next_generation(self) -> int:
@@ -222,11 +218,6 @@ class SegmentPool:
 
     def lease(self, nbytes: int) -> SegmentLease:
         nbytes = max(int(nbytes), 1)
-        if self.fail_next_lease:
-            self.fail_next_lease = False
-            raise ShmExhausted(
-                "injected shm_exhausted fault: /dev/shm lease refused"
-            )
         best = None
         for lease in self._free:
             if lease.capacity >= nbytes and (

@@ -2,10 +2,10 @@
 
 The engine runs every concrete MTTKRP of a cSTF run; it never changes
 what the simulated machine model charges, so its knobs alter host
-wall-clock only, not the reported device timelines. Apart from the
-explicitly opt-in ``gram_rescale``, every engine path is bit-identical to
-the per-format kernels of :mod:`repro.kernels` (same summation order, same
-multiply order), which stay in the library as the reference oracle.
+wall-clock only, not the reported device timelines. Every engine path is
+bit-identical to the per-format kernels of :mod:`repro.kernels` (same
+summation order, same multiply order), which stay in the library as the
+reference oracle.
 """
 
 from __future__ import annotations
@@ -105,23 +105,6 @@ class EngineConfig:
         pressure and — when a lease still cannot fit — downgrading that
         dispatch to pipe transport (``transport_downgraded`` event)
         instead of erroring.
-    disk_budget_bytes:
-        Resource-pressure disk budget in bytes (``0`` = unbounded, the
-        default). Acts as the default on-disk bound for cached artifacts:
-        when ``plan_store_bytes`` is unset, the plan store evicts down to
-        this budget instead. Persistence failures under real disk
-        pressure (ENOSPC) are always survived regardless of budget —
-        plan-store writes are skipped (``store_skipped``), checkpoint
-        writes keep the last completed generation
-        (``checkpoint_skipped``), and the telemetry sink degrades to a
-        null sink (``obs.sink.dropped``).
-    gram_rescale:
-        Reuse the Gram matrix of the *unnormalized* update result via a
-        rank-one λ-rescale (``G(H/λ) = G(H)/(λλᵀ)``) instead of a separate
-        column-norm pass after normalization. Requires ``normalize="2"``
-        (λ² is exactly ``diag(G)``). Opt-in: the rescaled Gram is
-        numerically equivalent but *not* bit-identical to the norm-pass
-        path, so it is excluded from the engine's rtol=0 guarantee.
     validate:
         Plan staleness detection per lookup: ``"cheap"`` (default; shape,
         nnz, and a 16-point sampled fingerprint of indices/values),
@@ -139,8 +122,6 @@ class EngineConfig:
     plan_store: str | None = None
     plan_store_bytes: int = 0
     memory_budget_bytes: int = 0
-    disk_budget_bytes: int = 0
-    gram_rescale: bool = False
     validate: str = "cheap"
 
     def __post_init__(self):
@@ -172,8 +153,6 @@ class EngineConfig:
         object.__setattr__(
             self, "memory_budget_bytes", int(self.memory_budget_bytes)
         )
-        require(int(self.disk_budget_bytes) >= 0, "disk_budget_bytes must be >= 0")
-        object.__setattr__(self, "disk_budget_bytes", int(self.disk_budget_bytes))
         require(
             self.validate in _VALIDATE,
             f"validate must be one of {_VALIDATE}, got {self.validate!r}",

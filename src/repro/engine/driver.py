@@ -191,39 +191,26 @@ def engine_mttkrp(
     ):
         from repro.engine.plan_store import PlanStore
 
-        # The explicit per-store budget wins; the engine-wide disk budget
-        # is the default bound for cached artifacts.
-        cache.store = PlanStore(
-            cfg.plan_store,
-            max_bytes=cfg.plan_store_bytes or cfg.disk_budget_bytes or None,
-        )
+        cache.store = PlanStore(cfg.plan_store, max_bytes=cfg.plan_store_bytes or None)
 
-    if faults is not None and faults.draw_plan_fault(mode=mode, events=events):
+    if faults is not None and faults.fires("corrupt_plan", mode=mode, events=events):
         cache.corrupt(tensor)
 
-    if (
-        faults is not None
-        and cache.store is not None
-        and faults.draw_disk_full("store", mode=mode, events=events)
-    ):
-        # The next store publish hits a synthetic ENOSPC; the store must
-        # skip persistence (store_skipped) and the run keeps its in-memory
-        # plan.
-        cache.store.fail_next_write = True
+    if faults is not None and cache.store is not None:
+        if faults.fires("disk_full", target="store", mode=mode, events=events):
+            # The next store publish hits a synthetic ENOSPC; the store must
+            # skip persistence (store_skipped) and the run keeps its
+            # in-memory plan.
+            cache.store.fail_next_write = True
+        if faults.fires("corrupt_store", mode=mode, events=events):
+            # Damage the on-disk entry this dispatch would read and drop the
+            # in-memory plans, forcing the read path through the corrupt
+            # entry; the store quarantines it and the lookup replans.
+            from repro.engine.plan import _content_hash
+            from repro.engine.plan_store import store_key as _skey
 
-    if (
-        faults is not None
-        and cache.store is not None
-        and faults.draw_store_fault(mode=mode, events=events)
-    ):
-        # Damage the on-disk entry this dispatch would read and drop the
-        # in-memory plans, forcing the read path through the corrupt entry;
-        # the store quarantines it and the lookup replans.
-        from repro.engine.plan import _content_hash
-        from repro.engine.plan_store import store_key as _skey
-
-        if cache.store.corrupt(_skey(_content_hash(tensor), fmt, mode)):
-            cache.drop_plans(tensor)
+            if cache.store.corrupt(_skey(_content_hash(tensor), fmt, mode)):
+                cache.drop_plans(tensor)
 
     with mttkrp_kernel_span(fmt, mode):
         try:

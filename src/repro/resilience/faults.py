@@ -18,34 +18,38 @@ Fault kinds:
   Cholesky); falls back to ``"perturb"`` on non-square targets.
 
 Beyond the numeric kinds, the ``"EXECUTE"`` phase targets the *execution
-layer* itself (the PR 4 host engine) rather than any array:
+layer* itself (the host engine, its persistence and its transport) rather
+than any array. Each kind is drawn at exactly one place and acted out where
+it lands:
 
-- ``"worker_crash"`` — one shard worker raises mid-shard; the engine must
-  re-execute that shard serially, bit-identically.
-- ``"slow_shard"`` — one shard worker sleeps ``magnitude`` seconds (capped
-  at 1s), turning it into a straggler that trips the per-shard timeout.
-- ``"corrupt_plan"`` — a cached plan-cache entry is deliberately corrupted
-  before lookup; the cache must detect, evict, and replan.
-- ``"kill_worker"`` — a *real* process kill: on the ``processes`` backend
-  the targeted shard worker SIGKILLs itself mid-task; the watchdog must
-  detect the dead process, respawn it, and redo the shard serially. On
-  thread backends (no process to kill) it degrades to ``worker_crash``.
-- ``"corrupt_store"`` — the on-disk plan-store entry the next dispatch
-  would read is damaged in place; the store must quarantine it on load
-  and the cache must replan.
-
-Resource-pressure kinds (the PR 10 budget layer) simulate the faults that
-kill long factorizations on real hosts:
-
-- ``"oom_worker"`` — one shard worker dies as if OOM-killed by the host:
-  a real SIGKILL on the ``processes`` backend (the watchdog must respawn
-  and redo the shard), a ``MemoryError`` on thread backends.
-- ``"disk_full"`` — the next persistence write (plan store, checkpoint,
-  or JSONL sink, drawn independently per target) fails with a synthetic
-  ENOSPC; the run must skip-store / keep the last checkpoint / degrade
-  the sink and keep computing.
-- ``"shm_exhausted"`` — the next shared-memory lease fails as if /dev/shm
-  were full; the dispatch must fall back to pipe transport.
+``worker_crash`` / ``slow_shard`` / ``kill_worker`` / ``oom_worker``
+    Drawn by :meth:`FaultInjector.draw_shard_faults` in
+    ``ExecutionBackend.run_shards`` (``engine/backends/base.py``) before any
+    shard launches; acted out by ``apply_shard_faults`` in the shard's
+    worker. A crash raises mid-shard, a straggler sleeps ``magnitude``
+    seconds (capped at 1s) past the per-shard timeout, and a kill or OOM
+    is a real ``SIGKILL`` of a ``processes`` worker — on thread backends a
+    kill degrades to a crash and an OOM to a ``MemoryError``. The shard is
+    redone serially, bit-identically.
+``corrupt_plan``
+    Drawn by :meth:`FaultInjector.fires` in ``engine_mttkrp``
+    (``engine/driver.py``) before the plan lookup; ``PlanCache.corrupt``
+    damages the cached plans, which the cache detects, evicts and replans.
+``corrupt_store``
+    Drawn there too when a plan store is attached; ``PlanStore.corrupt``
+    damages the on-disk entry the dispatch would read, which the store
+    quarantines on load.
+``disk_full``
+    One draw per persistence target, each a synthetic ENOSPC the run
+    survives: ``target="store"`` in ``engine_mttkrp`` arms
+    ``PlanStore.fail_next_write`` (skip-store); ``"checkpoint"`` in
+    ``cstf``'s checkpoint writer raises at once (the last checkpoint is
+    kept); ``"sink"`` after each outer iteration of a telemetry-enabled
+    ``cstf`` arms the JSONL sink's ``fail_next_write`` (the sink degrades).
+``shm_exhausted``
+    Drawn in ``ProcessBackend._publish`` (``engine/backends/processes.py``)
+    on a shared-memory dispatch, which then fails its first lease as if
+    /dev/shm were full and falls back to pipe transport.
 
 Execution faults are drawn from the same seeded generator as the numeric
 kinds, so a chaos campaign (``scripts/run_fault_suite.py``'s chaos stage)
@@ -87,10 +91,18 @@ NUMERIC_PHASES = ("GRAM", "MTTKRP", "UPDATE", "NORMALIZE")
 INJECTABLE_PHASES = NUMERIC_PHASES + ("EXECUTE",)
 
 _KINDS = ("nan", "inf", "perturb", "indefinite")
-_EXEC_KINDS = (
-    "worker_crash", "slow_shard", "corrupt_plan", "kill_worker",
-    "corrupt_store", "oom_worker", "disk_full", "shm_exhausted",
-)
+#: EXECUTE kinds aimed at one shard of a launch
+#: (:meth:`FaultInjector.draw_shard_faults`).
+_SHARD_KINDS = ("worker_crash", "slow_shard", "kill_worker", "oom_worker")
+#: Single-target EXECUTE kinds (:meth:`FaultInjector.fires`) and the
+#: ``fault_injected`` detail each logs.
+_TARGET_DETAIL = {
+    "corrupt_plan": "corrupted a cached plan before lookup",
+    "corrupt_store": "corrupted the on-disk plan-store entry before lookup",
+    "disk_full": "injected ENOSPC on the next {target} write",
+    "shm_exhausted": "exhausted /dev/shm for the next segment lease",
+}
+_EXEC_KINDS = _SHARD_KINDS + tuple(_TARGET_DETAIL)
 
 
 @dataclass(frozen=True)
@@ -221,25 +233,28 @@ class FaultInjector:
         *,
         mode: int | None = None,
         events: EventLog | None = None,
-    ) -> dict[str, int]:
-        """Which execution faults fire for an upcoming *n_shards* launch.
+    ) -> tuple[list[frozenset], float]:
+        """Which worker faults fire for an upcoming *n_shards* launch.
 
-        Returns ``{kind: shard_index}`` for every firing ``worker_crash`` /
-        ``slow_shard`` / ``kill_worker`` / ``oom_worker`` spec. Must be
-        called from the dispatching (main) thread *before* workers launch,
-        so the RNG stream order — and with it the whole chaos campaign —
-        stays deterministic.
+        Returns ``(kinds, delay)``: one frozenset of the fault kinds aimed
+        at each shard, and the straggler sleep in seconds (the first firing
+        ``slow_shard`` spec's ``magnitude``, capped at one second so a
+        default-magnitude spec cannot hang a run). Must be called from the
+        dispatching (main) thread *before* workers launch, so the RNG
+        stream order — and with it the whole chaos campaign — stays
+        deterministic.
         """
-        fired: dict[str, int] = {}
+        kinds = [set() for _ in range(n_shards)]
+        delay = 0.0
         for spec in self.specs:
-            if spec.phase != "EXECUTE" or spec.kind not in (
-                "worker_crash", "slow_shard", "kill_worker", "oom_worker"
-            ):
+            if spec.phase != "EXECUTE" or spec.kind not in _SHARD_KINDS:
                 continue
             if not (self.rng.random() < spec.probability):
                 continue
-            shard = int(self.rng.integers(0, 2**31)) % max(int(n_shards), 1)
-            fired[spec.kind] = shard
+            shard = int(self.rng.integers(0, 2**31)) % n_shards
+            kinds[shard].add(spec.kind)
+            if spec.kind == "slow_shard" and not delay:
+                delay = min(float(spec.magnitude), 1.0)
             self.injected += 1
             if events is not None:
                 events.record(
@@ -247,76 +262,32 @@ class FaultInjector:
                     detail=f"injected {spec.kind} on shard {shard} of {n_shards}",
                     fault_kind=spec.kind, shard=shard,
                 )
-        return fired
+        return [frozenset(k) for k in kinds], delay
 
-    def slow_shard_delay(self) -> float:
-        """Straggler sleep for an injected ``slow_shard``, in seconds.
-
-        Interprets the spec's ``magnitude`` as the delay, capped at one
-        second so a default-magnitude spec cannot hang a run.
-        """
-        for spec in self.specs:
-            if spec.phase == "EXECUTE" and spec.kind == "slow_shard":
-                return min(float(spec.magnitude), 1.0)
-        return 0.05
-
-    def draw_plan_fault(
-        self, *, mode: int | None = None, events: EventLog | None = None
-    ) -> bool:
-        """Whether a ``corrupt_plan`` fault fires for the next plan lookup."""
-        fired = False
-        for spec in self.specs:
-            if spec.phase != "EXECUTE" or spec.kind != "corrupt_plan":
-                continue
-            if self.rng.random() < spec.probability:
-                fired = True
-                self.injected += 1
-                if events is not None:
-                    events.record(
-                        FAULT_INJECTED, "EXECUTE", mode=mode,
-                        detail="corrupted a cached plan before lookup",
-                        fault_kind=spec.kind,
-                    )
-        return fired
-
-    def draw_store_fault(
-        self, *, mode: int | None = None, events: EventLog | None = None
-    ) -> bool:
-        """Whether a ``corrupt_store`` fault fires for the next dispatch."""
-        fired = False
-        for spec in self.specs:
-            if spec.phase != "EXECUTE" or spec.kind != "corrupt_store":
-                continue
-            if self.rng.random() < spec.probability:
-                fired = True
-                self.injected += 1
-                if events is not None:
-                    events.record(
-                        FAULT_INJECTED, "EXECUTE", mode=mode,
-                        detail="corrupted the on-disk plan-store entry "
-                               "before lookup",
-                        fault_kind=spec.kind,
-                    )
-        return fired
-
-    def draw_disk_full(
+    def fires(
         self,
-        target: str,
+        kind: str,
         *,
+        target: str | None = None,
         mode: int | None = None,
         iteration: int | None = None,
         events: EventLog | None = None,
     ) -> bool:
-        """Whether a ``disk_full`` fault fires for the next *target* write.
+        """Whether a single-target execution fault of *kind* fires now.
 
-        *target* names the persistence surface about to write
-        (``"store"`` / ``"checkpoint"`` / ``"sink"``) so each surface draws
-        independently from the shared stream — one campaign can starve all
-        three at different moments, deterministically.
+        Draws once per matching spec, in spec order, and logs each firing
+        spec as a ``fault_injected`` event. ``disk_full`` names the
+        persistence *target* about to write (``"store"`` /
+        ``"checkpoint"`` / ``"sink"``), so each surface draws independently
+        from the shared stream.
         """
+        require(kind in _TARGET_DETAIL, f"not a single-target fault kind: {kind!r}")
+        data = {"fault_kind": kind}
+        if target is not None:
+            data["target"] = target
         fired = False
         for spec in self.specs:
-            if spec.phase != "EXECUTE" or spec.kind != "disk_full":
+            if spec.phase != "EXECUTE" or spec.kind != kind:
                 continue
             if self.rng.random() < spec.probability:
                 fired = True
@@ -325,29 +296,8 @@ class FaultInjector:
                     events.record(
                         FAULT_INJECTED, "EXECUTE", mode=mode,
                         iteration=iteration,
-                        detail=f"injected ENOSPC on the next {target} write",
-                        fault_kind=spec.kind, target=target,
-                    )
-        return fired
-
-    def draw_shm_fault(
-        self, *, mode: int | None = None, events: EventLog | None = None
-    ) -> bool:
-        """Whether a ``shm_exhausted`` fault fires for the next dispatch's
-        shared-memory lease (the pool then fails it as if /dev/shm were
-        full, forcing the pipe-transport downgrade)."""
-        fired = False
-        for spec in self.specs:
-            if spec.phase != "EXECUTE" or spec.kind != "shm_exhausted":
-                continue
-            if self.rng.random() < spec.probability:
-                fired = True
-                self.injected += 1
-                if events is not None:
-                    events.record(
-                        FAULT_INJECTED, "EXECUTE", mode=mode,
-                        detail="exhausted /dev/shm for the next segment lease",
-                        fault_kind=spec.kind,
+                        detail=_TARGET_DETAIL[kind].format(target=target),
+                        **data,
                     )
         return fired
 

@@ -213,13 +213,6 @@ class TestFitFromLastMttkrp:
         assert injector.injected == 3 * sparse.ndim
         self._agrees(sparse, res)
 
-    def test_gram_rescale(self, sparse):
-        res = cstf(
-            sparse, rank=3, max_iters=3, normalize="2",
-            engine={"gram_rescale": True}, seed=2,
-        )
-        self._agrees(sparse, res)
-
 
 def _traced_peak(tensor, **kwargs) -> int:
     tracemalloc.start()

@@ -108,42 +108,6 @@ class TestPlanCacheBehavior:
         assert gauges["engine.shard.imbalance"] >= 1.0
 
 
-class TestGramRescale:
-    def test_requires_l2_normalization(self, tensor):
-        with pytest.raises(ValueError, match="gram_rescale"):
-            CstfConfig(engine={"gram_rescale": True}, normalize="max")
-
-    def test_numerically_equivalent_not_bitwise_guaranteed(self, tensor):
-        seed = _run(tensor, None, normalize="2")
-        rescaled = _run(
-            tensor, {"gram_rescale": True}, normalize="2", telemetry="on"
-        )
-        for fa, fb in zip(seed.kruskal.factors, rescaled.kruskal.factors):
-            np.testing.assert_allclose(fa, fb, rtol=1e-8, atol=1e-12)
-        np.testing.assert_allclose(
-            seed.kruskal.weights, rescaled.kruskal.weights, rtol=1e-8
-        )
-        counters = rescaled.telemetry.metrics_summary["counters"]
-        assert counters["engine.gram.rescales"] > 0
-
-    def test_disabled_under_fault_injection(self, tensor):
-        from repro.resilience.faults import FaultInjector, FaultSpec
-
-        injector = FaultInjector(
-            [FaultSpec(phase="UPDATE", kind="nan", probability=0.0)], seed=0
-        )
-        result = cstf(
-            tensor,
-            CstfConfig(
-                rank=4, max_iters=2, update="cuadmm", mttkrp_format="coo",
-                normalize="2", engine={"gram_rescale": True}, telemetry="on",
-                fault_injector=injector, compute_fit=False, seed=2,
-            ),
-        )
-        counters = result.telemetry.metrics_summary["counters"]
-        assert counters.get("engine.gram.rescales", 0) == 0
-
-
 class TestConfigPlumbing:
     def test_engine_setting_normalized_on_config(self):
         cfg = CstfConfig(engine="sharded")

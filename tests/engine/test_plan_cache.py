@@ -1,5 +1,7 @@
 """The per-tensor plan cache: keys, hits, invalidation, LRU, twin adoption."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -16,9 +18,12 @@ def tensor():
 
 class TestEngineConfig:
     def test_defaults(self):
-        cfg = EngineConfig()
-        assert cfg.chunk == 4096 and cfg.shards == 1
-        assert not cfg.gram_rescale and cfg.validate == "cheap"
+        assert dataclasses.asdict(EngineConfig()) == {
+            "chunk": 4096, "shards": 1, "shard_timeout": 0.0,
+            "backend": "threads", "shm": "auto", "plan_store": None,
+            "plan_store_bytes": 0, "memory_budget_bytes": 0,
+            "validate": "cheap",
+        }
 
     def test_invalid_rejected(self):
         with pytest.raises(ValueError):

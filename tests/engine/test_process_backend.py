@@ -222,10 +222,10 @@ class TestBrokenPipe:
         """Fault stub: shard 0 sleeps far longer than the test tolerates."""
 
         def draw_shard_faults(self, n_shards, *, mode=None, events=None):
-            return {"slow_shard": 0}
+            return [frozenset({"slow_shard"}), frozenset()], 5.0
 
-        def slow_shard_delay(self):
-            return 5.0
+        def fires(self, kind, **_):
+            return False
 
     def test_dead_pipe_with_live_worker_is_a_lost_worker(
         self, tensor, factors

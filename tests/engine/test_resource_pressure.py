@@ -110,18 +110,6 @@ class TestSegmentPoolBudget:
         finally:
             pool.close()
 
-    def test_fail_next_lease_is_one_shot(self):
-        pool = SegmentPool()
-        try:
-            pool.fail_next_lease = True
-            with pytest.raises(ShmExhausted, match="injected"):
-                pool.lease(64)
-            assert not pool.fail_next_lease
-            lease = pool.lease(64)  # next lease succeeds normally
-            assert lease.capacity >= 64
-        finally:
-            pool.close()
-
     def test_zero_budget_is_unbounded(self):
         pool = SegmentPool(budget_bytes=0)
         try:

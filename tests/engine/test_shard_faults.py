@@ -11,16 +11,20 @@ all counted through telemetry and logged as resilience events.
 import numpy as np
 import pytest
 
+from repro.core.config import CstfConfig
+from repro.core.cstf import cstf
 from repro.engine import (
     EngineConfig,
     PlanCache,
     engine_mttkrp,
+    get_plan_cache,
     run_shards,
     sharded_segment_accumulate,
+    shutdown_backends,
 )
 from repro.kernels.mttkrp_coo import mttkrp_coo, segment_accumulate
 from repro.kernels.mttkrp_hicoo import mttkrp_hicoo
-from repro.obs import telemetry_session
+from repro.obs import Telemetry, telemetry_session
 from repro.resilience import EventLog, FaultInjector, FaultSpec, InjectedWorkerCrash
 from repro.tensor.hicoo import HicooTensor
 from repro.tensor.synthetic import random_sparse
@@ -101,7 +105,10 @@ class TestWorkerCrashRecovery:
 
         class _CrashAndKill:
             def draw_shard_faults(self, n_shards, *, mode=None, events=None):
-                return {"worker_crash": 0, "kill_worker": 1}
+                return [
+                    frozenset({"worker_crash"}), frozenset({"kill_worker"}),
+                    frozenset(),
+                ], 0.0
 
         cfg = EngineConfig(shards=3, backend="threads")
         streams = PlanCache().plan(tensor, 0).shard_streams(cfg.shards)
@@ -114,6 +121,24 @@ class TestWorkerCrashRecovery:
         retries = events.of_kind("shard_retry")
         assert [ev.data["shard"] for ev in retries] == [0, 1]
         assert all("InjectedWorkerCrash" in ev.detail for ev in retries)
+
+    def test_same_kind_on_two_shards_faults_both(self, tensor, factors):
+        """Regression: two ``worker_crash`` specs firing on different
+        shards logged two ``fault_injected`` events, but the draw was keyed
+        by fault kind, so only one shard crashed. Every logged fault now
+        hits its shard."""
+        inj = FaultInjector(
+            [FaultSpec("EXECUTE", "worker_crash", probability=1.0)] * 2, seed=1
+        )
+        events = EventLog()
+        got = engine_mttkrp(
+            tensor, factors, 0, "coo", EngineConfig(shards=3, backend="threads"),
+            PlanCache(), faults=inj, events=events,
+        )
+        assert np.array_equal(got, mttkrp_coo(tensor, factors, 0))
+        assert inj.injected == 2
+        assert [ev.data["shard"] for ev in events.of_kind("fault_injected")] == [1, 0]
+        assert [ev.data["shard"] for ev in events.of_kind("shard_retry")] == [0, 1]
 
     def test_serial_draws_no_shard_faults(self, tensor, factors):
         """Serial execution has no worker to hit: the injector's worker
@@ -280,6 +305,67 @@ class TestChaosDeterminism:
             ("fault_injected", 2, 2), ("fault_injected", 2, 0),
             ("shard_timeout", 2, 0), ("shard_retry", 2, 2),
         ]
+
+    @pytest.mark.procfaults
+    def test_process_campaign_replays_pinned_event_stream(self, tensor, tmp_path):
+        """A processes campaign over every single-target execution fault —
+        plan and store corruption, ENOSPC on the plan store, checkpoint and
+        telemetry sink, and a refused shm lease — logs exactly this
+        ``(kind, mode, iteration, target, detail)`` stream (recovery events
+        without their detail, which names temporary paths)."""
+        inj = FaultInjector(
+            [
+                FaultSpec("EXECUTE", "corrupt_plan", probability=0.3),
+                FaultSpec("EXECUTE", "corrupt_store", probability=0.3),
+                FaultSpec("EXECUTE", "disk_full", probability=0.3),
+                FaultSpec("EXECUTE", "shm_exhausted", probability=0.3),
+            ],
+            seed=8,
+        )
+        # The campaign's recovery events depend on what is already cached.
+        get_plan_cache().clear()
+        try:
+            res = cstf(tensor, CstfConfig(
+                rank=4, max_iters=2, update="admm", mttkrp_format="coo", seed=2,
+                engine={"shards": 2, "backend": "processes", "shm": "on",
+                        "plan_store": str(tmp_path / "store")},
+                checkpoint_every=1, checkpoint_path=str(tmp_path / "ck.npz"),
+                fault_injector=inj,
+                telemetry=Telemetry(jsonl_path=str(tmp_path / "trace.jsonl")),
+            ))
+        finally:
+            shutdown_backends()
+        plan = "corrupted a cached plan before lookup"
+        store = "corrupted the on-disk plan-store entry before lookup"
+        shm = "exhausted /dev/shm for the next segment lease"
+        assert [
+            (e.kind, e.mode, e.iteration, e.data.get("target"),
+             e.detail if e.kind == "fault_injected" else None)
+            for e in res.events
+        ] == [
+            ("fault_injected", 2, None, None, plan),
+            ("fault_injected", 2, None, None, store),
+            ("fault_injected", 2, None, None, shm),
+            ("transport_downgraded", 2, None, None, None),
+            ("fault_injected", None, 1, "sink",
+             "injected ENOSPC on the next sink write"),
+            ("fault_injected", None, 1, "checkpoint",
+             "injected ENOSPC on the next checkpoint write"),
+            ("checkpoint_skipped", None, 1, None, None),
+            ("fault_injected", 0, None, None, store),
+            ("plan_repaired", None, None, None, None),
+            ("fault_injected", 1, None, None, shm),
+            ("transport_downgraded", 1, None, None, None),
+            ("fault_injected", 2, None, "store",
+             "injected ENOSPC on the next store write"),
+            ("fault_injected", 2, None, None, store),
+            ("plan_repaired", None, None, None, None),
+            ("store_skipped", None, None, None, None),
+            ("fault_injected", 2, None, None, shm),
+            ("transport_downgraded", 2, None, None, None),
+            ("checkpoint_saved", None, 2, None, None),
+        ]
+        assert res.telemetry.metrics_summary["counters"]["obs.sink.dropped"] > 0
 
     def test_injected_crash_exception_type(self):
         with pytest.raises(InjectedWorkerCrash):
