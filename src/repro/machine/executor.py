@@ -233,8 +233,12 @@ class Executor:
     # ------------------------------------------------------------------ #
     # BLAS-2/3 kernels
     # ------------------------------------------------------------------ #
-    def gemm(self, a, b, name: str = "dgemm"):
-        """``A @ B``: flops 2·m·k·n, streaming traffic, GEMM efficiency."""
+    def gemm(self, a, b, name: str = "dgemm", out=None):
+        """``A @ B``: flops 2·m·k·n, streaming traffic, GEMM efficiency.
+
+        A concrete product is written into *out* when given (C-contiguous,
+        float64, m×n, sharing no memory with *a* or *b*).
+        """
         m, k = _shape(a)
         k2, n = _shape(b)
         if k != k2:
@@ -249,7 +253,7 @@ class Executor:
         )
         if is_symbolic(a, b):
             return SymArray((m, n))
-        return np.asarray(a) @ np.asarray(b)
+        return np.matmul(np.asarray(a), np.asarray(b), out=out)
 
     def gemv(self, a, x, name: str = "dgemv"):
         """``A @ x``: flops 2·m·n (HALS's per-rank kernel)."""
@@ -314,11 +318,16 @@ class Executor:
             return SymArray((r, r))
         return np.linalg.cholesky(np.asarray(s, dtype=np.float64))
 
-    def trsm(self, l_factor, b, lower: bool = True, transpose: bool = False, name: str = "dtrsm"):
+    def trsm(self, l_factor, b, lower: bool = True, transpose: bool = False,
+             name: str = "dtrsm", *, check_finite: bool = True,
+             overwrite_b: bool = False):
         """Triangular solve ``op(L) X = B`` with ``B`` R×n.
 
         Serialized over R dependent substitution steps — the GPU pathology
-        pre-inversion eliminates (Section 4.3.2).
+        pre-inversion eliminates (Section 4.3.2). ``check_finite`` and
+        ``overwrite_b`` are SciPy's: the first scans both operands for
+        NaN/Inf and raises ``ValueError``; the second lets the solve write
+        into *b*, in place when *b* is float64 and F-contiguous.
         """
         r, r2 = _shape(l_factor)
         rb, nrhs = _shape(b)
@@ -340,13 +349,23 @@ class Executor:
         mat = np.asarray(l_factor, dtype=np.float64)
         return scipy.linalg.solve_triangular(
             mat.T if transpose else mat, np.asarray(b, dtype=np.float64),
-            lower=lower != transpose,
+            lower=lower != transpose, check_finite=check_finite,
+            overwrite_b=overwrite_b,
         )
 
-    def cholesky_solve(self, l_factor, b):
-        """``(LLᵀ)⁻¹ B`` via forward+backward substitution (two DTRSM)."""
-        y = self.trsm(l_factor, b, lower=True, transpose=False, name="dtrsm_fwd")
-        return self.trsm(l_factor, y, lower=True, transpose=True, name="dtrsm_bwd")
+    def cholesky_solve(self, l_factor, b, *, check_finite: bool = True,
+                       overwrite_b: bool = False):
+        """``(LLᵀ)⁻¹ B`` via forward+backward substitution (two DTRSM).
+
+        The flags are :meth:`trsm`'s for the first solve; the second always
+        overwrites the intermediate, which no caller sees. An F-contiguous
+        *b* (the transpose of a C-contiguous I×R array) with
+        ``overwrite_b=True`` is solved in place and returned.
+        """
+        y = self.trsm(l_factor, b, lower=True, transpose=False, name="dtrsm_fwd",
+                      check_finite=check_finite, overwrite_b=overwrite_b)
+        return self.trsm(l_factor, y, lower=True, transpose=True, name="dtrsm_bwd",
+                         check_finite=check_finite, overwrite_b=True)
 
     def spd_inverse(self, l_factor, name: str = "dpotri"):
         """Explicit ``(LLᵀ)⁻¹`` — cuADMM's one-off pre-inversion."""
@@ -360,20 +379,25 @@ class Executor:
     # ------------------------------------------------------------------ #
     # cuADMM fused kernels (Section 4.3.1)
     # ------------------------------------------------------------------ #
-    def fused_auxiliary(self, m, h, u, rho: float, name: str = "fused_auxiliary"):
+    def fused_auxiliary(self, m, h, u, rho: float, name: str = "fused_auxiliary",
+                        out=None):
         """``H̃ = M + ρ(H + U)`` in one kernel: 3n reads, n writes.
 
         The unfused equivalent is two DGEAM calls (4n reads, 2n writes) —
-        the ~33 % traffic saving the paper quotes.
+        the ~33 % traffic saving the paper quotes. A concrete result is
+        written into *out* when given (float64, M's shape, sharing no memory
+        with the operands).
         """
         n = _size(m)
         self.record(name, flops=3 * n, reads=3 * n, writes=n, parallel_work=n)
         if is_symbolic(m, h, u):
             return SymArray(_shape(m))
-        return np.asarray(m) + rho * (np.asarray(h) + np.asarray(u))
+        out = np.add(h, u, out=out)
+        np.multiply(rho, out, out=out)
+        return np.add(m, out, out=out)
 
     def fused_prox_primal(self, op: ProximalOperator, h_aux, u, rho: float,
-                          name: str = "fused_prox_primal"):
+                          name: str = "fused_prox_primal", work=None):
         """``H = prox_r(H̃ - U)`` in one kernel.
 
         No intermediate global store of ``H̃ - U`` as a *separate kernel's*
@@ -381,14 +405,23 @@ class Executor:
         plus the difference tile the dual kernel consumes (2n). This is the
         conservative traffic accounting: fusion removes kernel round-trips,
         not the fundamental stores.
+
+        A concrete ``H̃ - U`` is formed in *work* when given (float64, H̃'s
+        shape, sharing no memory with *h_aux* or *u*). The returned H is
+        never *work*: an operator that answers in place is copied out.
         """
         n = _size(h_aux)
         self.record(name, flops=3 * n, reads=2 * n, writes=2 * n, parallel_work=n)
         if is_symbolic(h_aux, u):
             return SymArray(_shape(h_aux))
-        return op(np.asarray(h_aux) - np.asarray(u), rho)
+        arg = np.subtract(h_aux, u, out=work)
+        h_new = op(arg, rho)
+        if work is not None and np.may_share_memory(h_new, work):
+            h_new = np.array(h_new, copy=True)
+        return h_new
 
-    def fused_dual_update(self, u, h, h_aux, h_prev, name: str = "fused_dual_update"):
+    def fused_dual_update(self, u, h, h_aux, h_prev, name: str = "fused_dual_update",
+                          work=None):
         """Dual update and all four convergence reductions in one kernel.
 
         Computes ``ΔH = H - H̃``, ``U += ΔH``, and co-computes
@@ -396,6 +429,11 @@ class Executor:
         registers: 5n reads (U, H, H̃, H_prev, plus the prox kernel's
         difference tile), 2n writes (U and the materialized ΔH), versus the
         unfused path's three DGEAMs plus four separate reduction kernels.
+
+        A concrete ΔH and ``H - H_prev`` are formed, one after the other, in
+        *work* when given (float64, U's shape). *work* may be *h_aux* itself,
+        which is dead once ΔH is formed; it shares no memory with the other
+        operands. The new U is always a fresh array.
         """
         n = _size(u)
         self.record(name, flops=10 * n, reads=5 * n, writes=2 * n, parallel_work=n)
@@ -404,12 +442,13 @@ class Executor:
             return SymArray(_shape(u)), nan, nan, nan, nan
         u = np.asarray(u)
         h = np.asarray(h)
-        dh = h - np.asarray(h_aux)
+        dh = np.subtract(h, h_aux, out=work)
         u_new = u + dh
-        d_prev = h - np.asarray(h_prev)
+        dh_sq = float(np.vdot(dh, dh).real)
+        d_prev = np.subtract(h, h_prev, out=work)
         return (
             u_new,
-            float(np.vdot(dh, dh).real),
+            dh_sq,
             float(np.vdot(h, h).real),
             float(np.vdot(d_prev, d_prev).real),
             float(np.vdot(u_new, u_new).real),

@@ -46,6 +46,9 @@ from repro.utils.validation import check_positive_int, require
 
 __all__ = ["AdmmUpdate", "cuadmm"]
 
+#: Update-state key of the fused loop's scratch arrays (see :func:`_scratch`).
+_SCRATCH_KEY = "admm_scratch"
+
 
 class AdmmUpdate(UpdateMethod):
     """AO-ADMM factor update with togglable GPU optimizations.
@@ -151,6 +154,14 @@ class AdmmUpdate(UpdateMethod):
             l_factor, rho = self._factorize(ex, s_arr, rho, ctx, mode)
         g_inv = ex.spd_inverse(l_factor) if self.preinvert else None
 
+        # Scratch for the fused loop's auxiliary/solve/prox/dual temporaries.
+        # Never the returned H, the saved dual, the warm start or last_good:
+        # every H and U an iteration yields is a fresh array, so a rollback
+        # restores them bit for bit.
+        scratch = (
+            _scratch(state, h.shape) if self.fuse_ops and not symbolic
+            else (None, None)
+        )
         residuals: list[tuple[float, float]] = []
         h0 = h  # pristine warm start, used by the fresh-restart fallback
         last_good = (h, u)
@@ -167,25 +178,40 @@ class AdmmUpdate(UpdateMethod):
             solver_error = None
             try:
                 if self.fuse_ops:
-                    h_new, u_new, r_primal, r_dual = self._iter_fused(
-                        ex, m_mat, h, u, rho, l_factor, g_inv
+                    h_new, u_new, r_primal, r_dual, h_sq, u_sq = self._iter_fused(
+                        ex, m_mat, h, u, rho, l_factor, g_inv, scratch
                     )
                 else:
-                    h_new, u_new, r_primal, r_dual = self._iter_generic(
+                    h_new, u_new, r_primal, r_dual, h_sq, u_sq = self._iter_generic(
                         ex, m_mat, h, u, rho, l_factor, g_inv
                     )
             except (ValueError, FloatingPointError, np.linalg.LinAlgError) as exc:
                 if ctx is None:
                     raise
-                # SciPy's finiteness checks fire *inside* the triangular
-                # solve when the RHS carries NaN/Inf — same root cause as a
-                # diverged iterate, so it takes the same escalation path.
+                # The solves skip SciPy's finiteness scan, so NaN/Inf operands
+                # surface through the residual norms below; what lands here is
+                # a singular triangular factor, a constraint operator that
+                # rejects its input, or NumPy's raise-on-error mode. Same
+                # escalation path as a diverged iterate.
                 solver_error = exc
                 h_new = u_new = None
-                r_primal = r_dual = float("nan")
+                r_primal = r_dual = h_sq = u_sq = float("nan")
+            if ctx is None and not symbolic and not all(
+                math.isfinite(v) for v in (r_primal, r_dual, h_sq, u_sq)
+            ):
+                # Fail fast without a resilience context: a NaN/Inf operand
+                # or iterate makes a residual or a squared norm non-finite.
+                raise ValueError(
+                    f"ADMM inner iterate is not finite (mode {mode}, r_primal="
+                    f"{r_primal:.3e}, r_dual={r_dual:.3e}); run with a "
+                    f"resilience context to recover"
+                )
             if ctx is not None and (
                 solver_error is not None
-                or self._diverged(h_new, u_new, r_primal, r_dual, ctx, ref_scale)
+                or _diverged(
+                    h_new, u_new, r_primal, r_dual, h_sq, u_sq,
+                    ctx.policy.divergence_threshold * ref_scale,
+                )
             ):
                 failures += 1
                 cause = (
@@ -288,40 +314,29 @@ class AdmmUpdate(UpdateMethod):
             phase="UPDATE", mode=mode, chol=ex.cholesky,
         )
 
-    @staticmethod
-    def _diverged(
-        h_new, u_new, r_primal: float, r_dual: float, ctx, ref_scale: float
-    ) -> bool:
-        """Blow-up test: any non-finite iterate/residual, or iterate
-        magnitudes a ``divergence_threshold`` factor beyond the scale the
-        warm start and RHS justify (finite but headed for overflow).
-
-        Residual *ratios* are deliberately not thresholded — their
-        denominators legitimately approach zero on sparse factors (a mostly
-        zero H or a freshly zeroed dual), which would flag healthy updates.
-        """
-        if not (math.isfinite(r_primal) and math.isfinite(r_dual)):
-            return True
-        if not (np.isfinite(h_new).all() and np.isfinite(u_new).all()):
-            return True
-        thresh = ctx.policy.divergence_threshold
-        return bool(
-            max(np.abs(h_new).max(initial=0.0), np.abs(u_new).max(initial=0.0))
-            > thresh * ref_scale
-        )
-
     # ------------------------------------------------------------------ #
-    def _solve(self, ex: Executor, h_aux, l_factor, g_inv):
-        """Apply ``(S + ρI)⁻¹`` on the right of the I×R auxiliary matrix."""
+    def _solve(self, ex: Executor, h_aux, l_factor, g_inv, out=None):
+        """Apply ``(S + ρI)⁻¹`` on the right of the I×R auxiliary matrix.
+
+        *h_aux* is scratch: the triangular solves overwrite it (in place,
+        since its transpose is F-contiguous) and skip SciPy's finiteness
+        scan — the caller detects NaN/Inf from the residual norms. The
+        pre-inverted GEMM writes into *out* when given.
+        """
         if self.preinvert:
             # H̄ = H̃ (LLᵀ)⁻¹ — a single GEMM (the inverse is symmetric).
-            return ex.gemm(h_aux, g_inv, name="dgemm_apply_inverse")
+            return ex.gemm(h_aux, g_inv, name="dgemm_apply_inverse", out=out)
         # Two serialized triangular solves on R×I right-hand sides; the
         # transposes are layout flags on DTRSM, not data movement.
-        return ex.cholesky_solve(l_factor, h_aux.T).T
+        return ex.cholesky_solve(
+            l_factor, h_aux.T, check_finite=False, overwrite_b=True
+        ).T
 
     def _iter_generic(self, ex: Executor, m_mat, h, u, rho, l_factor, g_inv):
-        """One inner iteration as discrete cuBLAS-style kernels."""
+        """One inner iteration as discrete cuBLAS-style kernels.
+
+        Returns ``(H, U, r_primal, r_dual, ‖H‖², ‖U‖²)``.
+        """
         h_prev = ex.copy(h, name="dcopy_hprev")
         t_sum = ex.add(h, u, name="dgeam_h_plus_u")
         h_aux = ex.geam(1.0, m_mat, rho, t_sum, name="dgeam_aux")
@@ -337,25 +352,86 @@ class AdmmUpdate(UpdateMethod):
         u_norm = ex.norm_sq(u_new, name="norm_u")
         r_primal = r_primal_num / max(h_norm, 1e-30)
         r_dual = r_dual_num / max(u_norm, 1e-30)
-        return h_new, u_new, r_primal, r_dual
+        return h_new, u_new, r_primal, r_dual, h_norm, u_norm
 
-    def _iter_fused(self, ex: Executor, m_mat, h, u, rho, l_factor, g_inv):
-        """One inner iteration with the cuADMM fused kernels."""
+    def _iter_fused(self, ex: Executor, m_mat, h, u, rho, l_factor, g_inv, scratch):
+        """One inner iteration with the cuADMM fused kernels.
+
+        *scratch* is two I×R arrays (two ``None`` in symbolic mode): the
+        auxiliary H̃ is formed in the first, the solve leaves H̄ in the
+        first (triangular solves, in place) or the second (pre-inverted
+        GEMM), the prox argument goes to the other one, and the dual kernel
+        reuses H̄'s array for ΔH and ``H - H_prev``.
+        """
+        aux_buf, other = scratch
         h_prev = h  # No DCOPY: the fused dual kernel reads the old H in place.
-        h_aux = ex.fused_auxiliary(m_mat, h, u, rho)
-        h_bar = self._solve(ex, h_aux, l_factor, g_inv)
-        h_new = ex.fused_prox_primal(self.prox, h_bar, u, rho)
+        h_aux = ex.fused_auxiliary(m_mat, h, u, rho, out=aux_buf)
+        h_bar = self._solve(ex, h_aux, l_factor, g_inv, out=other)
+        work = aux_buf if h_bar is other else other
+        h_new = ex.fused_prox_primal(self.prox, h_bar, u, rho, work=work)
         u_new, r_primal_num, h_norm, r_dual_num, u_norm = ex.fused_dual_update(
-            u, h_new, h_bar, h_prev
+            u, h_new, h_bar, h_prev, work=h_bar
         )
         r_primal = r_primal_num / max(h_norm, 1e-30)
         r_dual = r_dual_num / max(u_norm, 1e-30)
-        return h_new, u_new, r_primal, r_dual
+        return h_new, u_new, r_primal, r_dual, h_norm, u_norm
+
+
+def _scratch(state: dict[str, Any], shape) -> tuple[np.ndarray, np.ndarray]:
+    """Two C-contiguous scratch arrays of *shape* for the fused inner loop.
+
+    One pair per run, kept in the update state and shared by the modes:
+    an update call leaves nothing in it, and the modes run one after the
+    other. It grows to the largest factor seen. The pair sits in a dict
+    because checkpoints persist only array-valued state.
+    """
+    size = shape[0] * shape[1]
+    pool = state.setdefault(_SCRATCH_KEY, {})
+    bufs = pool.get("bufs")
+    if bufs is None or bufs[0].size < size:
+        bufs = pool["bufs"] = (np.empty(size), np.empty(size))
+    return bufs[0][:size].reshape(shape), bufs[1][:size].reshape(shape)
+
+
+def _diverged(h_new, u_new, r_primal: float, r_dual: float, h_sq: float,
+              u_sq: float, limit: float) -> bool:
+    """Blow-up test: any non-finite iterate/residual, or an iterate entry
+    larger than *limit* in magnitude (finite but headed for overflow).
+
+    *h_sq* and *u_sq* are ``‖H‖²`` and ``‖U‖²``, which the iteration has
+    already reduced. A finite sum of squares means every entry is finite,
+    and ``max|H| ≤ ‖H‖``, so the entry scans run only when a norm exceeds
+    *limit* (rare: the iterate is large or divergent). When a sum of
+    squares overflows with every entry finite (entries of order
+    ``1e154/√n``), the test falls back to the full scan, so the decision
+    equals the full scan's in every case.
+
+    Residual *ratios* are deliberately not thresholded — their
+    denominators legitimately approach zero on sparse factors (a mostly
+    zero H or a freshly zeroed dual), which would flag healthy updates.
+    """
+    if not (math.isfinite(r_primal) and math.isfinite(r_dual)):
+        return True
+    if math.isfinite(h_sq) and math.isfinite(u_sq):
+        # The rounded sum of squares is at least max² (1 - 2⁻⁵³); the slack
+        # covers that and the rounding of the square root.
+        if math.sqrt(max(h_sq, u_sq)) * (1.0 + 1e-12) <= limit:
+            return False
+    elif not (np.isfinite(h_new).all() and np.isfinite(u_new).all()):
+        return True
+    return bool(
+        max(np.abs(h_new).max(initial=0.0), np.abs(u_new).max(initial=0.0)) > limit
+    )
 
 
 def _finite_max(arr) -> float:
     """Largest finite magnitude in *arr* (0.0 when none exist)."""
     a = np.asarray(arr, dtype=np.float64)
+    if a.size:
+        hi, lo = a.max(), a.min()
+        if math.isfinite(hi) and math.isfinite(lo):
+            # All finite (NaN propagates through max/min): no mask, no copy.
+            return float(max(hi, -lo))
     finite = a[np.isfinite(a)]
     return float(np.abs(finite).max()) if finite.size else 0.0
 

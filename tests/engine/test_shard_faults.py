@@ -159,6 +159,22 @@ class TestWorkerCrashRecovery:
         assert len(events) == 0
 
 
+def _assert_timeouts_recovered(events) -> list[int]:
+    """The injected straggler timed out and every timed-out shard was redone.
+
+    A healthy shard may miss a 50 ms deadline on a loaded host too, so the
+    number of timeouts is at least the number of stragglers, not equal.
+    Returns the timed-out shard indices.
+    """
+    injected = {e.data["shard"] for e in events.of_kind("fault_injected")}
+    timeouts = events.of_kind("shard_timeout")
+    timed_out = [e.data["shard"] for e in timeouts]
+    assert injected and injected <= set(timed_out)
+    assert len(timed_out) == len(set(timed_out))
+    assert all(e.detail.endswith("re-executed serially") for e in timeouts)
+    return timed_out
+
+
 class TestSlowShardTimeout:
     def test_straggler_times_out_and_recovers(self, tensor, factors):
         ref = mttkrp_coo(tensor, factors, 0)
@@ -174,8 +190,10 @@ class TestSlowShardTimeout:
                 faults=inj, events=events,
             )
         assert np.array_equal(ref, got)
-        assert len(events.of_kind("shard_timeout")) == 1
-        assert tel.metrics.summary()["counters"]["engine.shard.timeouts"] == 1
+        timed_out = _assert_timeouts_recovered(events)
+        assert tel.metrics.summary()["counters"]["engine.shard.timeouts"] == len(
+            timed_out
+        )
 
     def test_no_timeout_when_disabled(self, tensor, factors):
         """shard_timeout=0 disables straggler detection: the slow worker is
