@@ -56,7 +56,7 @@ from repro.resilience.policy import STATE_KEY, ResilienceContext, ResiliencePoli
 from repro.tensor.coo import SparseTensor
 from repro.updates.base import get_update
 from repro.utils.rng import as_generator
-from repro.utils.validation import require
+from repro.utils.validation import check_shape, require
 
 __all__ = ["CstfResult", "cstf"]
 
@@ -202,6 +202,7 @@ def _cstf_run(tensor, config: CstfConfig, tel) -> CstfResult:
     tel.attach_executor(ex)
     rank = config.rank
     shape = tensor.shape
+    check_shape(shape, min_modes=2)
     tel.set_meta(
         kind="cstf", device=ex.device.name, rank=rank,
         update=getattr(update, "name", str(config.update)),

@@ -6,6 +6,8 @@ everything the per-format kernels of :mod:`repro.kernels` recompute per
 call (sort permutations, segment offsets, format conversions), execution is cache-blocked and optionally sharded
 across threads, and the all-mode batched driver shares factor-row gathers
 when one set of factors serves every mode. See docs/PERFORMANCE.md.
+The streaming driver uses only the batched driver from here; its
+per-slice history accumulate is the kernels' ``segment_accumulate``.
 
 Tune it per run via ``CstfConfig(engine="on" | "sharded" | "processes" |
 EngineConfig(...))`` (default ``"on"``: cached serial execution) or on the
@@ -24,12 +26,7 @@ from repro.engine.driver import (
     PlanBuildError,
     engine_mttkrp,
 )
-from repro.engine.execute import (
-    run_plan,
-    run_shards,
-    run_stream,
-    sharded_segment_accumulate,
-)
+from repro.engine.execute import run_plan, run_stream
 from repro.engine.plan import MttkrpPlan, PlanCache, SegmentStream, get_plan_cache
 from repro.engine.plan_store import PlanStore, store_key
 
@@ -50,7 +47,5 @@ __all__ = [
     "PlanBuildError",
     "all_mode_krp_rows",
     "run_plan",
-    "run_shards",
     "run_stream",
-    "sharded_segment_accumulate",
 ]

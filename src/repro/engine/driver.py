@@ -56,7 +56,7 @@ from repro.kernels.mttkrp_blco import record_block_balance
 from repro.kernels.mttkrp_csf import mttkrp_csf
 from repro.machine.analytic import TensorStats, charge_mttkrp
 from repro.resilience.events import PLAN_REPAIRED
-from repro.utils.validation import check_axis
+from repro.utils.validation import check_axis, check_shape
 
 __all__ = ["PlanBuildError", "engine_mttkrp", "EngineMttkrp"]
 
@@ -180,6 +180,7 @@ def engine_mttkrp(
     cfg = cfg if cfg is not None else EngineConfig()
     # `is not None`, not truthiness: an empty PlanCache has len() == 0.
     cache = cache if cache is not None else get_plan_cache()
+    check_shape(tensor.shape, min_modes=2)
     mode = check_axis(mode, tensor.ndim)
     if fmt not in _ENGINE_FORMATS:
         raise ValueError(f"unknown engine format {fmt!r}")

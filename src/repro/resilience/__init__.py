@@ -24,7 +24,7 @@ loses hours of work. This package makes the stack survive those events:
   seeded-backoff retries, wall-clock deadlines (between attempts and
   cooperatively at AO iteration boundaries), checkpoint auto-resume,
   and the graceful-degradation ladder
-  (process → sharded → chunked → serial engine).
+  (process → sharded → serial engine).
 """
 
 from repro.resilience.checkpoint import (

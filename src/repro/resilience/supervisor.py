@@ -6,11 +6,14 @@ with seeded exponential backoff plus jitter; when retries at the current
 execution tier are exhausted the supervisor steps down the degradation
 ladder instead of giving up::
 
-    process engine → sharded engine → chunked engine → serial engine
+    process engine → sharded engine → serial engine
 
 (the ``process engine`` rung exists only when the run starts on the
 ``processes`` execution backend; stepping down re-runs the same sharded
-configuration on in-process threads, losing crash isolation but not bits).
+configuration on in-process threads, losing crash isolation but not bits.
+The serial engine is one shard at the configured chunk; there is no
+unchunked rung below it, because chunking isolates nothing and a whole
+``nnz × R`` accumulator only needs more memory).
 Memory pressure gets its own intermediate rungs: a tier that exhausts its
 retries on ``MemoryError`` with more than two shards first *halves its
 shard count* — fewer simultaneous accumulators — and only then continues
@@ -59,7 +62,7 @@ from repro.resilience.events import (
     ResilienceError,
 )
 from repro.utils.rng import as_generator
-from repro.utils.validation import require
+from repro.utils.validation import check_shape, require
 
 __all__ = [
     "SupervisorConfig",
@@ -138,10 +141,9 @@ def _ladder(engine):
     """Degradation rungs from a resolved engine config, top tier first.
 
     Each rung is ``(name, engine_config)``; the first rung is the
-    configuration the run starts at and the last is the serial engine.
+    configuration the run starts at and the last is the serial engine:
+    one shard at the configured chunk.
     """
-    from repro.engine.config import EngineConfig
-
     rungs = []
     if engine.backend == "processes" and engine.shards > 1:
         # Top rung: isolated worker processes. One step down is the same
@@ -151,11 +153,7 @@ def _ladder(engine):
         engine = replace(engine, backend="threads")
     if engine.shards > 1:
         rungs.append(("sharded engine", engine))
-        chunk = engine.chunk if engine.chunk > 0 else EngineConfig().chunk
-        engine = replace(engine, shards=1, chunk=chunk)
-    if engine.chunk > 0:
-        rungs.append(("chunked engine", engine))
-        engine = replace(engine, chunk=0)
+        engine = replace(engine, shards=1)
     rungs.append(("serial engine", engine))
     return rungs
 
@@ -262,6 +260,8 @@ class RunSupervisor:
         from repro.core.cstf import cstf
         from repro.engine.driver import PlanBuildError
 
+        # An invalid tensor fails the same way on every attempt and rung.
+        check_shape(tensor.shape, min_modes=2)
         tel = self._tel()
         rungs = _ladder(self.config.engine)
         rung = 0

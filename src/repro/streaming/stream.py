@@ -25,6 +25,7 @@ in simulated device time.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,14 +33,13 @@ import numpy as np
 from repro.core.kruskal import KruskalTensor
 from repro.core.trace import PHASE_GRAM, PHASE_MTTKRP, PHASE_NORMALIZE, PHASE_UPDATE
 from repro.engine.batched import all_mode_krp_rows
-from repro.engine.config import resolve_engine
-from repro.engine.execute import sharded_segment_accumulate
 from repro.kernels.mttkrp_coo import segment_accumulate
 from repro.machine.executor import Executor
 from repro.obs import resolve_telemetry
 from repro.resilience.events import SLICE_SKIPPED, EventLog
 from repro.tensor.coo import SparseTensor
 from repro.updates.base import get_update
+from repro.utils.npzio import write_npz_atomic
 from repro.utils.rng import as_generator
 from repro.utils.validation import check_rank, check_shape, require
 
@@ -82,15 +82,6 @@ class StreamingCstf:
     telemetry:
         ``"auto"`` (join an ambient :func:`~repro.obs.telemetry_session`,
         else off), ``"off"``/``"on"``, or a ``Telemetry`` instance.
-    engine:
-        Host execution engine setting: ``None``/``"off"`` (default; serial
-        history accumulate, ``self.engine`` is ``None``) or any
-        ``CstfConfig.engine`` value. With ``shards > 1`` the per-slice history
-        accumulation runs through the engine's fault-tolerant sharded
-        segment reduction (:func:`~repro.engine.execute
-        .sharded_segment_accumulate`) — bit-identical to the serial seed
-        accumulate, with shard crash/straggler recovery logged on
-        ``self.events``.
     """
 
     def __init__(
@@ -104,7 +95,6 @@ class StreamingCstf:
         refresh_every: int = 1,
         seed=0,
         telemetry="auto",
-        engine=None,
     ):
         self.spatial_shape = check_shape(spatial_shape, min_modes=2)
         self.rank = check_rank(rank)
@@ -120,11 +110,7 @@ class StreamingCstf:
             "update": update if isinstance(update, str) else None,
             "device": device if isinstance(device, str) else None,
             "inner_iters": int(inner_iters),
-            "engine": engine if isinstance(engine, str) else None,
         }
-        self.engine = (
-            None if engine is None or engine == "off" else resolve_engine(engine)
-        )
         self.executor = Executor(device)
         self.update = get_update(
             update,
@@ -260,15 +246,9 @@ class StreamingCstf:
         with ex.phase(PHASE_MTTKRP):
             for mode, dim in enumerate(self.spatial_shape):
                 contrib = per_mode_rows[mode] * temporal_row[None, :]
-                if self.engine is not None and self.engine.shards > 1:
-                    acc = sharded_segment_accumulate(
-                        contrib, slice_tensor.indices[:, mode], dim,
-                        self.engine, events=self.events,
-                    )
-                else:
-                    acc = segment_accumulate(
-                        contrib, slice_tensor.indices[:, mode], dim
-                    )
+                acc = segment_accumulate(
+                    contrib, slice_tensor.indices[:, mode], dim
+                )
                 self._hist_mttkrp[mode] = gamma * self._hist_mttkrp[mode] + acc
                 ex.record(
                     "stream_slice_mttkrp",
@@ -336,7 +316,10 @@ class StreamingCstf:
         Captures the spatial factors, temporal rows, history accumulators
         and step counter — everything needed to resume ingestion after a
         restart. The executor's timeline is *not* persisted (it describes
-        the past process, not the model).
+        the past process, not the model). A path *target* is written
+        atomically (:func:`~repro.utils.npzio.write_npz_atomic`), so a
+        failed save leaves the previous checkpoint intact; a file object is
+        written directly.
         """
         import json
 
@@ -356,7 +339,6 @@ class StreamingCstf:
                         "update": self._ctor_meta["update"],
                         "device": self._ctor_meta["device"],
                         "inner_iters": self._ctor_meta["inner_iters"],
-                        "engine": self._ctor_meta["engine"],
                     }
                 )
             ),
@@ -366,17 +348,14 @@ class StreamingCstf:
         for n, f in enumerate(self.factors):
             arrays[f"factor_{n}"] = f
             arrays[f"hist_mttkrp_{n}"] = self._hist_mttkrp[n]
-        from pathlib import Path
-
-        if isinstance(target, (str, Path)):
-            with open(target, "wb") as fh:
-                np.savez_compressed(fh, **arrays)
+        if isinstance(target, (str, os.PathLike)):
+            write_npz_atomic(target, arrays)
         else:
             np.savez_compressed(target, **arrays)
 
     @classmethod
-    def load(cls, source, update=None, device=None, inner_iters: int | None = None,
-             engine=None) -> "StreamingCstf":
+    def load(cls, source, update=None, device=None,
+             inner_iters: int | None = None) -> "StreamingCstf":
         """Restore a checkpointed stream (fresh executor and update state).
 
         The saved run's configuration — update rule, device, and inner
@@ -384,7 +363,8 @@ class StreamingCstf:
         argument only to deliberately override it. Checkpoints written
         before these fields existed (or saved from streams configured with
         non-string update/device objects) fall back to the historical
-        defaults (``"cuadmm"``, ``"a100"``, 3).
+        defaults (``"cuadmm"``, ``"a100"``, 3). An ``engine`` key left by
+        older versions is ignored.
         """
         import json
 
@@ -398,8 +378,6 @@ class StreamingCstf:
                 device = meta.get("device") or "a100"
             if inner_iters is None:
                 inner_iters = int(meta.get("inner_iters") or 3)
-            if engine is None:
-                engine = meta.get("engine")
             stream = cls(
                 tuple(meta["spatial_shape"]),
                 rank=int(meta["rank"]),
@@ -408,7 +386,6 @@ class StreamingCstf:
                 forgetting=float(meta["forgetting"]),
                 inner_iters=inner_iters,
                 refresh_every=int(meta["refresh_every"]),
-                engine=engine,
             )
             stream.factors = [
                 np.array(data[f"factor_{n}"]) for n in range(len(meta["spatial_shape"]))

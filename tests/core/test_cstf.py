@@ -9,7 +9,9 @@ from repro.core.config import CstfConfig
 from repro.core.cstf import cstf
 from repro.core.trace import PHASES
 from repro.machine.analytic import TensorStats
+from repro.resilience import supervised_cstf
 from repro.resilience.faults import FaultInjector, FaultSpec
+from repro.tensor.coo import SparseTensor
 from repro.tensor.synthetic import planted_sparse_cp, random_sparse
 from repro.updates import UPDATE_REGISTRY
 
@@ -97,6 +99,14 @@ class TestDriver:
     def test_rejects_wrong_type(self):
         with pytest.raises(TypeError, match="SparseTensor or TensorStats"):
             cstf(np.zeros((3, 3)), rank=2)
+
+    def test_rejects_single_mode_tensor(self):
+        """A 1-mode tensor used to die deep in the Gram chain with a bare
+        IndexError; cstf and the supervisor now reject it up front."""
+        vector = SparseTensor(np.array([[0], [2], [4]]), np.ones(3), (5,))
+        for run in (cstf, supervised_cstf):
+            with pytest.raises(ValueError, match=r"at least 2 mode.*\(5,\)"):
+                run(vector, rank=2)
 
     def test_per_iteration_seconds_positive(self, tensor):
         res = cstf(tensor, rank=3, max_iters=2)

@@ -15,7 +15,6 @@ from repro.engine import (
     engine_mttkrp,
     get_backend,
     resolve_engine,
-    run_shards,
     shutdown_backends,
 )
 from repro.engine.backends import BACKEND_NAMES
@@ -128,20 +127,6 @@ class TestBitIdentity:
             ref = mttkrp_coo(tensor, factors, mode)
             got = engine_mttkrp(tensor, factors, mode, "coo", cfg, cache)
             assert np.array_equal(ref, got)
-
-    @pytest.mark.parametrize("backend", ["serial", "threads"])
-    def test_run_shards_positional_compat(self, tensor, factors, backend):
-        """The pre-seam positional run_shards signature still dispatches
-        (now through the named backend) and reduces to the seed bits."""
-        ref = mttkrp_coo(tensor, factors, 0)
-        cfg = EngineConfig(shards=4, backend=backend)
-        plan = PlanCache().plan(tensor, 0)
-        streams = plan.shard_streams(cfg.shards)
-        got = run_shards(
-            streams, [np.asarray(f) for f in factors], 0,
-            tensor.shape[0], 5, cfg,
-        )
-        assert np.array_equal(ref, got)
 
     def test_backends_agree_with_each_other(self, tensor, factors):
         cache = PlanCache()

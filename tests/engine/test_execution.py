@@ -119,6 +119,10 @@ class TestDriverDispatch:
     def test_unknown_format_rejected(self, small3, factors3):
         with pytest.raises(ValueError, match="unknown engine format"):
             engine_mttkrp(small3, factors3, 0, "sptensor", EngineConfig(), PlanCache())
+        # A 1-mode tensor has no Khatri-Rao product to execute.
+        vector = SparseTensor(np.array([[0], [2], [4]]), np.ones(3), (5,))
+        with pytest.raises(ValueError, match=r"at least 2 mode.*\(5,\)"):
+            engine_mttkrp(vector, [np.ones((5, 2))], 0, "coo", EngineConfig(), PlanCache())
 
 
 class TestBatchedKrp:

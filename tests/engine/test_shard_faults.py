@@ -17,12 +17,11 @@ from repro.engine import (
     EngineConfig,
     PlanCache,
     engine_mttkrp,
+    get_backend,
     get_plan_cache,
-    run_shards,
-    sharded_segment_accumulate,
     shutdown_backends,
 )
-from repro.kernels.mttkrp_coo import mttkrp_coo, segment_accumulate
+from repro.kernels.mttkrp_coo import mttkrp_coo
 from repro.kernels.mttkrp_hicoo import mttkrp_hicoo
 from repro.obs import Telemetry, telemetry_session
 from repro.resilience import EventLog, FaultInjector, FaultSpec, InjectedWorkerCrash
@@ -90,7 +89,7 @@ class TestWorkerCrashRecovery:
         streams = plan.shard_streams(cfg.shards)
         streams[0].cols[1][0] = 2**31  # out-of-range gather in shard 0
         with pytest.raises(IndexError):
-            run_shards(
+            get_backend(cfg.backend).run_shards(
                 streams, [np.asarray(f) for f in factors], 0,
                 tensor.shape[0], 6, cfg,
             )
@@ -113,7 +112,7 @@ class TestWorkerCrashRecovery:
         cfg = EngineConfig(shards=3, backend="threads")
         streams = PlanCache().plan(tensor, 0).shard_streams(cfg.shards)
         events = EventLog()
-        got = run_shards(
+        got = get_backend(cfg.backend).run_shards(
             streams, [np.asarray(f) for f in factors], 0, tensor.shape[0], 6,
             cfg, faults=_CrashAndKill(), events=events,
         )
@@ -405,40 +404,3 @@ class TestHicooEnginePath:
                 tensor, factors, mode, "hicoo", EngineConfig(), cache
             ))
         assert cache.hits >= tensor.ndim
-
-
-class TestShardedSegmentAccumulate:
-    def test_bit_identical_to_seed(self):
-        rng = np.random.default_rng(7)
-        rows = rng.random((800, 5))
-        targets = rng.integers(0, 61, 800)
-        ref = segment_accumulate(rows, targets, 61)
-        for shards in (1, 2, 3, 8):
-            got = sharded_segment_accumulate(
-                rows, targets, 61, EngineConfig(shards=shards, chunk=128)
-            )
-            assert np.array_equal(ref, got)
-
-    def test_recovers_from_injected_crash(self):
-        rng = np.random.default_rng(8)
-        rows = rng.random((600, 4))
-        targets = rng.integers(0, 37, 600)
-        ref = segment_accumulate(rows, targets, 37)
-        inj = FaultInjector(
-            FaultSpec("EXECUTE", "worker_crash", probability=1.0), seed=4
-        )
-        events = EventLog()
-        got = sharded_segment_accumulate(
-            rows, targets, 37, EngineConfig(shards=4),
-            faults=inj, events=events,
-        )
-        assert np.array_equal(ref, got)
-        assert len(events.of_kind("shard_retry")) == 1
-
-    def test_empty_input(self):
-        out = sharded_segment_accumulate(
-            np.zeros((0, 3)), np.zeros(0, dtype=np.int64), 5,
-            EngineConfig(shards=4),
-        )
-        assert out.shape == (5, 3)
-        assert not out.any()

@@ -169,15 +169,15 @@ class TestSyntheticDetectors:
             data={"tier": "sharded engine", "attempt": 1}))
         rec.events.append(ResilienceTraceEvent(
             kind="execution_degraded", phase="SUPERVISE", ts=1.0,
-            data={"from_tier": "sharded engine", "to_tier": "chunked engine"}))
+            data={"from_tier": "sharded engine", "to_tier": "serial engine"}))
         rec.metrics_summary["counters"]["resilience.retries"] = 1
         rec.metrics_summary["counters"]["resilience.degradations"] = 1
         (finding,) = diagnose(rec)
         assert finding.code == "degraded_execution"
         assert finding.severity == "warn"
-        assert finding.evidence["degraded_to"] == ["chunked engine"]
+        assert finding.evidence["degraded_to"] == ["serial engine"]
         assert finding.evidence["counters"]["degradations"] == 1
-        assert "chunked engine" in finding.summary
+        assert "serial engine" in finding.summary
 
     def test_shard_recoveries_alone_are_info(self):
         rec = self._record()

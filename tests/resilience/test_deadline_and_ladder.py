@@ -54,8 +54,7 @@ class TestProcessLadderRung:
         engine = EngineConfig(shards=4, chunk=128, backend="processes")
         rungs = _ladder(engine)
         assert [name for name, _ in rungs] == [
-            "process engine", "sharded engine", "chunked engine",
-            "serial engine",
+            "process engine", "sharded engine", "serial engine",
         ]
         assert rungs[0][1].backend == "processes"
         # One step down: identical sharding, thread dispatch — crash
@@ -63,7 +62,6 @@ class TestProcessLadderRung:
         assert rungs[1][1].backend == "threads"
         assert rungs[1][1].shards == 4
         assert rungs[2][1].shards == 1 and rungs[2][1].chunk == 128
-        assert rungs[3][1].chunk == 0 and rungs[3][1].shards == 1
 
     def test_threads_backend_has_no_process_rung(self):
         rungs = _ladder(EngineConfig(shards=4, backend="threads"))

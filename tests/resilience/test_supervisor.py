@@ -146,22 +146,20 @@ class TestRetries:
 class TestDegradationLadder:
     def test_ladder_shape_from_sharded(self):
         rungs = _ladder(EngineConfig(shards=4, chunk=512))
-        assert [name for name, _ in rungs] == [
-            "sharded engine", "chunked engine", "serial engine",
-        ]
-        assert rungs[1][1].shards == 1 and rungs[1][1].chunk == 512
-        assert rungs[2][1] == EngineConfig(shards=1, chunk=0)
+        assert [name for name, _ in rungs] == ["sharded engine", "serial engine"]
+        # The bottom rung keeps the configured chunk.
+        assert rungs[1][1] == EngineConfig(shards=1, chunk=512)
 
     def test_ladder_shape_from_serial_engine(self):
-        serial = EngineConfig(chunk=0)
-        assert _ladder(serial) == [("serial engine", serial)]
+        for serial in (EngineConfig(), EngineConfig(chunk=0)):
+            assert _ladder(serial) == [("serial engine", serial)]
 
     def test_each_rung_fires_exactly_once_per_trigger(self, tensor, patch_cstf):
         """With max_retries=0 every failure is one trigger, and each must
         produce exactly one execution_degraded event stepping one rung."""
         flaky = patch_cstf(_Flaky(failures=2))
         sup = RunSupervisor(
-            _base(engine={"shards": 4}),
+            _base(engine={"shards": 4, "backend": "processes"}),
             SupervisorConfig(max_retries=0, backoff_base=0.0),
             sleep=lambda s: None,
         )
@@ -169,11 +167,13 @@ class TestDegradationLadder:
         degraded = [e for e in result.events if e.kind == "execution_degraded"]
         assert len(degraded) == 2
         assert [(e.data["from_tier"], e.data["to_tier"]) for e in degraded] == [
-            ("sharded engine", "chunked engine"),
-            ("chunked engine", "serial engine"),
+            ("process engine", "sharded engine"),
+            ("sharded engine", "serial engine"),
         ]
         # The run that succeeded used the bottom rung: the serial engine.
-        assert flaky.configs[-1].engine == EngineConfig(shards=1, chunk=0)
+        assert flaky.configs[-1].engine == EngineConfig(
+            shards=1, backend="threads"
+        )
         assert sup.degradations == 2
 
     def test_degraded_result_bit_identical(self, tensor, patch_cstf):
@@ -193,7 +193,7 @@ class TestDegradationLadder:
         patch_cstf(_Flaky(failures=1))
         with telemetry_session() as tel:
             supervised_cstf(
-                tensor, _base(engine="on"),
+                tensor, _base(engine={"shards": 2}),
                 supervisor={"max_retries": 0}, sleep=lambda s: None,
             )
         assert tel.metrics.summary()["counters"]["resilience.degradations"] == 1
@@ -270,7 +270,7 @@ class TestPressureRungs:
         )
         result = sup.run(tensor)
         degraded = [e for e in result.events if e.kind == "execution_degraded"]
-        assert [e.data["to_tier"] for e in degraded] == ["chunked engine"]
+        assert [e.data["to_tier"] for e in degraded] == ["serial engine"]
         assert not any("@" in e.data["to_tier"] for e in degraded)
 
     def test_non_memory_errors_never_insert_pressure_rungs(
@@ -284,7 +284,7 @@ class TestPressureRungs:
         )
         result = sup.run(tensor)
         degraded = [e for e in result.events if e.kind == "execution_degraded"]
-        assert [e.data["to_tier"] for e in degraded] == ["chunked engine"]
+        assert [e.data["to_tier"] for e in degraded] == ["serial engine"]
 
 
 class TestBackoffDeadlineAware:

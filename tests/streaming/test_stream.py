@@ -1,8 +1,11 @@
 """Streaming cSTF: incremental tracking of time-sliced sparse tensors."""
 
+import json
+
 import numpy as np
 import pytest
 
+import repro.utils.npzio as npzio
 from repro.core.kruskal import KruskalTensor, factor_match_score
 from repro.streaming import StreamingCstf
 from repro.tensor.coo import SparseTensor
@@ -194,6 +197,36 @@ class TestCheckpoint:
         assert overridden.executor.device.name != stream.executor.device.name
 
 
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        """A path save is atomic: a writer that fails mid-archive leaves the
+        checkpoint already on disk loadable and unchanged."""
+        stream = StreamingCstf((10, 8), rank=2, seed=1)
+        slabs = list(_make_stream((10, 8), 2, steps=4, seed=11))
+        for slab, _ in slabs[:2]:
+            stream.ingest(slab)
+        path = tmp_path / "ckpt.npz"
+        stream.save(path)
+        saved = [f.copy() for f in stream.factors]
+        first = path.read_bytes()
+
+        for slab, _ in slabs[2:]:
+            stream.ingest(slab)
+
+        def torn_write(fh, arrays):
+            fh.write(b"PK\x03\x04 partial")
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(npzio, "_write_payload", torn_write)
+        with pytest.raises(OSError):
+            stream.save(path)
+        assert path.read_bytes() == first
+        assert not (tmp_path / "ckpt.npz.tmp").exists()
+        resumed = StreamingCstf.load(path)
+        assert resumed.steps_ingested == 2
+        for a, b in zip(resumed.factors, saved):
+            assert np.array_equal(a, b)
+
+
 class TestDegenerateSlices:
     def test_all_zero_slice_skipped_and_logged(self):
         stream = StreamingCstf((10, 8), rank=2, seed=0)
@@ -242,42 +275,24 @@ class TestDegenerateSlices:
         assert stream.executor.timeline.total_seconds() == 0.0
 
 
-class TestShardedIngest:
-    """Satellite: EngineConfig.shards routes history accumulation through
-    the sharded engine path, bit-identical to the serial seed path."""
-
-    def _run(self, engine):
-        stream = StreamingCstf((15, 11), rank=3, seed=4, engine=engine)
-        for slab, _ in _make_stream((15, 11), 3, steps=6, seed=4):
-            stream.ingest(slab)
-        model = stream.model()
-        return model.factors, model.weights
-
-    def test_sharded_matches_serial_bitwise(self):
-        base_f, base_w = self._run(engine=None)
-        for shards in (2, 3):
-            f, w = self._run(engine={"shards": shards})
-            assert np.array_equal(base_w, w)
-            for a, b in zip(base_f, f):
-                assert np.array_equal(a, b), shards
-
-    def test_engine_string_setting_resolves(self):
-        base_f, base_w = self._run(engine=None)
-        f, w = self._run(engine="sharded")
-        assert np.array_equal(base_w, w)
-        for a, b in zip(base_f, f):
-            assert np.array_equal(a, b)
-
-    def test_engine_survives_save_load(self, tmp_path):
-        stream = StreamingCstf((12, 9), rank=2, seed=2, engine="sharded")
+class TestLegacyCheckpoint:
+    def test_engine_key_is_ignored_on_load(self, tmp_path):
+        """Checkpoints from versions that took an ``engine`` argument carry
+        an ``engine`` meta key; they still load, and the key is ignored."""
+        stream = StreamingCstf((12, 9), rank=2, seed=2)
         for slab, _ in _make_stream((12, 9), 2, steps=3, seed=2):
             stream.ingest(slab)
         path = tmp_path / "stream.npz"
         stream.save(path)
+        with np.load(path) as data:
+            arrays = {name: data[name] for name in data.files}
+        meta = json.loads(str(arrays["meta_json"]))
+        meta["engine"] = "sharded"
+        arrays["meta_json"] = np.array(json.dumps(meta))
+        np.savez_compressed(path, **arrays)
+
         loaded = StreamingCstf.load(path)
-        assert loaded.engine is not None
-        assert loaded.engine.shards == stream.engine.shards
+        assert not hasattr(loaded, "engine")
+        assert loaded.steps_ingested == 3
         for a, b in zip(loaded.factors, stream.factors):
             assert np.array_equal(a, b)
-        # Explicit argument beats the persisted setting.
-        assert StreamingCstf.load(path, engine="off").engine is None
