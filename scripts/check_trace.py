@@ -21,8 +21,8 @@ not silently fall back to pipes).
 ``--require-pressure-events`` adds the pressure-evidence gate for the
 resource chaos stage: the trace must contain at least one
 pressure-degradation event (``worker_recycled``/``transport_downgraded``/
-``checkpoint_skipped``/``store_skipped``) or, as a fallback for runs whose
-sink itself degraded, a nonzero pressure counter in the summary snapshot —
+``checkpoint_skipped``) or, as a fallback for runs whose sink itself
+degraded, a nonzero pressure counter in the summary snapshot —
 proof that injected resource pressure actually exercised the degraded
 paths.
 
@@ -102,7 +102,6 @@ _PRESSURE_KINDS = (
     "worker_recycled",
     "transport_downgraded",
     "checkpoint_skipped",
-    "store_skipped",
 )
 
 #: Summary counters accepted as fallback evidence (a degraded sink drops
@@ -111,7 +110,6 @@ _PRESSURE_COUNTERS = (
     "engine.proc.workers_recycled",
     "engine.shm.downgrades",
     "resilience.checkpoint.skips",
-    "engine.store.write_errors",
     "obs.sink.dropped",
 )
 
@@ -120,10 +118,10 @@ def check_pressure_events(records) -> list[str]:
     """The pressure-evidence gate: the trace must prove degradation fired.
 
     A resource-pressure chaos run that shows no ``worker_recycled`` /
-    ``transport_downgraded`` / ``checkpoint_skipped`` / ``store_skipped``
-    event — and no pressure counter in the summary snapshot — means the
-    injected pressure silently did nothing, which is exactly the failure
-    this gate exists to catch.
+    ``transport_downgraded`` / ``checkpoint_skipped`` event — and no
+    pressure counter in the summary snapshot — means the injected pressure
+    silently did nothing, which is exactly the failure this gate exists to
+    catch.
     """
     if any(
         r.get("type") == "event" and r.get("kind") in _PRESSURE_KINDS
@@ -199,9 +197,9 @@ def main(argv=None) -> int:
     parser.add_argument("--require-pressure-events", action="store_true",
                         help="fail unless the trace shows pressure-triggered "
                              "degradation: a worker_recycled/"
-                             "transport_downgraded/checkpoint_skipped/"
-                             "store_skipped event, or a pressure counter in "
-                             "the summary snapshot")
+                             "transport_downgraded/checkpoint_skipped "
+                             "event, or a pressure counter in the summary "
+                             "snapshot")
     args = parser.parse_args(argv)
 
     failed = 0

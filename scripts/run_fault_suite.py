@@ -15,10 +15,10 @@ failure reproduces locally from the same command:
 ``--backend processes`` adds the process-isolation stage: the
 ``procfaults``-marked tests (real worker SIGKILLs; excluded from tier-1)
 plus a supervised chaos run on the ``processes`` execution backend that
-SIGKILLs a worker mid-MTTKRP *and* corrupts an on-disk plan-store entry,
-asserting bit-identical convergence with ``worker_lost`` and
-``plan_repaired`` events and a schema-valid trace. The chaos run executes
-**twice** — once per shard transport (``shm="on"`` zero-copy shared
+SIGKILLs a worker mid-MTTKRP *and* corrupts the cached plans, asserting
+bit-identical convergence with ``worker_lost`` events, a nonzero
+``engine.plan.repairs`` count and a schema-valid trace. The chaos run
+executes **twice** — once per shard transport (``shm="on"`` zero-copy shared
 memory, ``shm="off"`` pipe pickling) — and each trace is checked with
 ``--require-worker-spans`` (trace completeness: every executed shard must
 carry at least one worker-attributed kernel span, even across kills and
@@ -29,7 +29,7 @@ shard span proves which transport actually ran).
 ``pressure``-marked tests (real worker processes under memory budgets;
 excluded from tier-1) plus a supervised chaos run that injects
 ``oom_worker`` (real SIGKILL dressed as the kernel OOM killer),
-``disk_full`` (synthetic ENOSPC on plan-store/checkpoint/sink writes) and
+``disk_full`` (synthetic ENOSPC on checkpoint/sink writes) and
 ``shm_exhausted`` (refused /dev/shm leases) under a deliberately tiny
 memory budget, asserting bit-identical convergence, pressure-degradation
 events, a clean run with zero pressure events, and no leaked /dev/shm
@@ -193,12 +193,13 @@ print("chaos OK: faults=%d, recoveries=%s" % (
 
 
 # Process-backend chaos gate: a supervised run on isolated worker
-# processes, with a real SIGKILL landing mid-MTTKRP and the on-disk
-# plan-store entry corrupted under the run. The watchdog must detect the
-# dead worker (worker_lost), the store must quarantine the damaged entry
-# (plan_repaired), and the factors must still match the serial-backend run
-# bit for bit. Trace stays schema-valid and complete — every shard span
-# keeps a worker-attributed kernel span (checked by the caller).
+# processes, with a real SIGKILL landing mid-MTTKRP and the cached plans
+# corrupted under the run. The watchdog must detect the dead worker
+# (worker_lost), the plan cache must evict and replan the damaged plans
+# (engine.plan.repairs), and the factors must still match the
+# serial-backend run bit for bit. Trace stays schema-valid and complete —
+# every shard span keeps a worker-attributed kernel span (checked by the
+# caller).
 _PROCESS_CHAOS_SNIPPET = """
 import numpy as np
 from repro.core.config import CstfConfig
@@ -221,13 +222,12 @@ serial = cstf(X, CstfConfig(
 
 injector = FaultInjector(
     [FaultSpec(phase="EXECUTE", kind="kill_worker", probability=0.4),
-     FaultSpec(phase="EXECUTE", kind="corrupt_store", probability=0.2)],
+     FaultSpec(phase="EXECUTE", kind="corrupt_plan", probability=0.2)],
     seed=29,
 )
 chaos = supervised_cstf(X, CstfConfig(
     **base,
-    engine={"shards": 3, "backend": "processes", "plan_store": STORE_DIR,
-            "shm": SHM_MODE},
+    engine={"shards": 3, "backend": "processes", "shm": SHM_MODE},
     fault_injector=injector,
     telemetry=Telemetry(jsonl_path=TRACE_PATH),
 ))
@@ -249,23 +249,24 @@ kinds = {e.kind for e in chaos.events}
 assert "worker_lost" in kinds, (
     f"no worker_lost event despite kill_worker faults (saw {sorted(kinds)})"
 )
-assert "plan_repaired" in kinds, (
-    f"no plan_repaired event despite corrupt_store faults (saw {sorted(kinds)})"
+repairs = counters.get("engine.plan.repairs", 0)
+assert repairs > 0, (
+    f"no engine.plan.repairs despite corrupt_plan faults (saw {sorted(kinds)})"
 )
 shutdown_backends()
-print("process chaos OK (shm=%s): faults=%d, kinds=%s" % (
-    SHM_MODE, injector.injected,
+print("process chaos OK (shm=%s): faults=%d, plan repairs=%d, kinds=%s" % (
+    SHM_MODE, injector.injected, repairs,
     ",".join(sorted(kinds & {"worker_lost", "plan_repaired"}))))
 """
 
 
 # Resource-pressure chaos gate: a supervised processes-backend run with a
 # deliberately tiny memory budget and every resource fault kind injected —
-# workers OOM-SIGKILLed mid-shard, plan-store/checkpoint writes hitting
+# workers OOM-SIGKILLed mid-shard, checkpoint/sink writes hitting
 # synthetic ENOSPC, shm leases refused. The run must complete bit-identical
 # to an uninjected serial run, its events must prove the degraded paths
-# fired (worker_recycled, checkpoint/store skips, transport downgrades on
-# the shm transport), a clean run must show zero pressure events, and the
+# fired (worker_recycled, checkpoint skips, transport downgrades on the
+# shm transport), a clean run must show zero pressure events, and the
 # shared-memory pool must leak nothing into /dev/shm.
 _RESOURCE_CHAOS_SNIPPET = """
 import glob
@@ -303,7 +304,7 @@ injector = FaultInjector(
 chaos = supervised_cstf(X, CstfConfig(
     **base,
     engine={"shards": 3, "backend": "processes", "shm": SHM_MODE,
-            "memory_budget_bytes": 8_000_000, "plan_store": STORE_DIR},
+            "memory_budget_bytes": 8_000_000},
     checkpoint_every=1, checkpoint_path=CK_PATH,
     fault_injector=injector,
     telemetry=Telemetry(jsonl_path=TRACE_PATH),
@@ -320,7 +321,7 @@ kinds = {e.kind for e in chaos.events}
 assert "worker_recycled" in kinds, (
     f"no worker_recycled event despite a 8 MB budget (saw {sorted(kinds)})"
 )
-assert kinds & {"checkpoint_skipped", "store_skipped"}, (
+assert "checkpoint_skipped" in kinds, (
     f"no persistence skips despite disk_full faults (saw {sorted(kinds)})"
 )
 if SHM_MODE == "on":
@@ -338,8 +339,7 @@ clean = supervised_cstf(X, CstfConfig(
 for a, b in zip(serial.kruskal.factors, clean.kruskal.factors):
     assert np.array_equal(a, b), "clean processes run is not bit-identical"
 clean_kinds = {e.kind for e in clean.events}
-pressure = {"worker_recycled", "transport_downgraded",
-            "checkpoint_skipped", "store_skipped"}
+pressure = {"worker_recycled", "transport_downgraded", "checkpoint_skipped"}
 assert not (clean_kinds & pressure), (
     f"clean run shows pressure events: {sorted(clean_kinds & pressure)}"
 )
@@ -357,12 +357,10 @@ def _check_resource_chaos(env, shm_mode: str) -> int:
     but bit-identical; the trace must prove the pressure paths fired."""
     with tempfile.TemporaryDirectory() as tmp:
         trace = Path(tmp) / "resource_chaos.jsonl"
-        store = Path(tmp) / "plan_store"
         ck = Path(tmp) / "resource_chaos.npz"
         snippet = (
             _RESOURCE_CHAOS_SNIPPET
             .replace("TRACE_PATH", repr(str(trace)))
-            .replace("STORE_DIR", repr(str(store)))
             .replace("CK_PATH", repr(str(ck)))
             .replace("SHM_MODE", repr(shm_mode))
         )
@@ -382,7 +380,7 @@ def _check_resource_chaos(env, shm_mode: str) -> int:
 
 
 def _check_process_chaos(env, shm_mode: str) -> int:
-    """Process-backend chaos: SIGKILL + store corruption, bit-identical.
+    """Process-backend chaos: SIGKILL + plan corruption, bit-identical.
 
     Runs on one shard transport (*shm_mode* ``"on"`` or ``"off"``); the
     caller invokes it for both so recovery is proven with and without the
@@ -390,11 +388,9 @@ def _check_process_chaos(env, shm_mode: str) -> int:
     """
     with tempfile.TemporaryDirectory() as tmp:
         trace = Path(tmp) / "process_chaos.jsonl"
-        store = Path(tmp) / "plan_store"
         snippet = (
             _PROCESS_CHAOS_SNIPPET
             .replace("TRACE_PATH", repr(str(trace)))
-            .replace("STORE_DIR", repr(str(store)))
             .replace("SHM_MODE", repr(shm_mode))
         )
         code = subprocess.call(
@@ -561,7 +557,7 @@ def main(extra_args: list[str]) -> int:
     if backend == "processes":
         for shm_mode in ("on", "off"):
             print(f"\nrunning the process-backend chaos gate "
-                  f"(real SIGKILL + store corruption, traced, shm={shm_mode})")
+                  f"(real SIGKILL + plan corruption, traced, shm={shm_mode})")
             code = _check_process_chaos(env, shm_mode)
             if code != 0:
                 return code

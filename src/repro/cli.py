@@ -174,13 +174,6 @@ def _add_engine_args(p) -> None:
                    choices=["serial", "threads", "processes"],
                    help="shard dispatch backend (overrides --engine; "
                         "default: threads)")
-    p.add_argument("--plan-store", default=None, metavar="DIR",
-                   help="persist MTTKRP plans to an on-disk, crash-safe, "
-                        "content-addressed store in DIR (overrides --engine; "
-                        "serves coo-format plans, pair with --format coo)")
-    p.add_argument("--plan-store-bytes", type=int, default=None, metavar="N",
-                   help="bound the plan store to N bytes with LRU eviction "
-                        "(requires --plan-store; 0 = unbounded)")
     p.add_argument("--shm", default=None, choices=["auto", "on", "off"],
                    help="processes-backend shard transport (overrides "
                         "--engine): auto (default; zero-copy shared-memory "
@@ -205,10 +198,6 @@ def _engine_setting(args):
         overrides["backend"] = args.backend
         if args.backend != "serial" and "shards" not in overrides:
             overrides["shards"] = default_shards()
-    if getattr(args, "plan_store", None) is not None:
-        overrides["plan_store"] = args.plan_store
-        if getattr(args, "plan_store_bytes", None) is not None:
-            overrides["plan_store_bytes"] = args.plan_store_bytes
     if getattr(args, "shm", None) is not None:
         overrides["shm"] = args.shm
     if getattr(args, "memory_budget", None) is not None:
@@ -551,16 +540,6 @@ def _cmd_perf(args, out) -> int:
             imbalance = gauges.get("engine.shard.imbalance", 0.0)
             print(f"engine sharding: {int(workers)} workers, "
                   f"{imbalance:.3f} load imbalance (max/mean; 1.0 = balanced)", file=out)
-    s_hits = counters.get("engine.store.hits", 0)
-    s_misses = counters.get("engine.store.misses", 0)
-    if s_hits or s_misses or counters.get("engine.store.writes", 0):
-        probes = s_hits + s_misses
-        rate = f" ({100 * s_hits / probes:.1f}% hit rate)" if probes else ""
-        print(f"plan store: {int(s_hits)} hits, {int(s_misses)} misses, "
-              f"{int(counters.get('engine.store.writes', 0))} writes, "
-              f"{int(counters.get('engine.store.evictions', 0))} evictions, "
-              f"{int(counters.get('engine.store.quarantined', 0))} quarantined"
-              f"{rate}", file=out)
     batches = counters.get("obs.overhead.batches", 0)
     if batches:
         ship = counters.get("obs.overhead.worker_s", 0.0)

@@ -28,7 +28,6 @@ from repro.engine.driver import (
 )
 from repro.engine.execute import run_plan, run_stream
 from repro.engine.plan import MttkrpPlan, PlanCache, SegmentStream, get_plan_cache
-from repro.engine.plan_store import PlanStore, store_key
 
 __all__ = [
     "EngineConfig",
@@ -36,8 +35,6 @@ __all__ = [
     "ExecutionBackend",
     "get_backend",
     "shutdown_backends",
-    "PlanStore",
-    "store_key",
     "MttkrpPlan",
     "SegmentStream",
     "PlanCache",

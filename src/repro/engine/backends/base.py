@@ -209,16 +209,8 @@ class ExecutionBackend:
         *,
         faults=None,
         events=None,
-        plan_ref=None,
     ) -> np.ndarray:
-        """Execute per-worker shard streams and tree-reduce the partials.
-
-        ``plan_ref`` is an optional ``(plan_store_root, store_key)`` pair:
-        when the dispatching side persisted the plan to an on-disk
-        :class:`~repro.engine.plan_store.PlanStore`, process workers load
-        (and memoize) it by key instead of receiving the shard stream over
-        the task pipe.
-        """
+        """Execute per-worker shard streams and tree-reduce the partials."""
         self._announce(streams)
         tel = current_telemetry()
         n = len(streams)
@@ -231,7 +223,7 @@ class ExecutionBackend:
             streams, fmats, mode, out_rows, rank, cfg, tel.enabled, kinds, delay
         )
         anchor, t_dispatch = tel.current_span_id(), tel.now()
-        self._submit(job, faults, plan_ref, events)
+        self._submit(job, faults, events)
         partials = []
         try:
             for i, stream in enumerate(streams):
@@ -272,7 +264,7 @@ class ExecutionBackend:
     # ------------------------------------------------------------------ #
     # Backend primitives (defaults: inline execution at collection)
     # ------------------------------------------------------------------ #
-    def _submit(self, job: ShardJob, faults, plan_ref, events) -> None:
+    def _submit(self, job: ShardJob, faults, events) -> None:
         """Put every shard of *job* in flight."""
 
     def _wait(self, job: ShardJob, i: int, deadline: float | None):

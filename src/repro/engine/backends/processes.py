@@ -26,13 +26,7 @@ runs around each outstanding shard:
   ``EngineConfig.memory_budget_bytes`` is recycled at the shard boundary.
 
 Task shipping: the parent's in-memory plan cache is invisible to workers,
-so a task either carries its shard stream inline (pickled over the pipe)
-or — when the plan was persisted to the on-disk
-:class:`~repro.engine.plan_store.PlanStore` — just the store key plus the
-shard coordinates. Workers memoize store loads (a small LRU, bounded so a
-long-lived pool serving many tensors cannot grow without limit) and
-re-derive shard streams with the same deterministic LPT assignment as the
-parent.
+so every task carries its shard stream inline (pickled over the pipe).
 
 Factor matrices and accumulators travel over one of two transports:
 
@@ -60,7 +54,6 @@ import multiprocessing
 import os
 import signal
 import time
-from collections import OrderedDict
 
 import numpy as np
 
@@ -99,11 +92,6 @@ def _read_rss(pid: int) -> int:
             return int(fh.read().split()[1]) * _PAGE_SIZE
     except (OSError, IndexError, ValueError):
         return 0
-
-#: Worker-side plan memo capacity (plans loaded from the on-disk store).
-#: A long-lived pool serving many tensors re-loads a cold plan from the
-#: store rather than pinning every plan it ever saw in worker memory.
-_PLAN_MEMO_LIMIT = 8
 
 
 def _attach_shm_task(shm_desc: dict, attached: list, last_gen: int):
@@ -149,7 +137,7 @@ def _worker_main(conn, worker_id: int) -> None:
     :class:`~repro.obs.worker.WorkerTelemetrySession` as the ambient
     session the moment it starts (the parent's session never crosses the
     fork — see :mod:`repro.obs.spans`), so ``shard_kernel`` spans *and*
-    everything deep code bumps — plan-store hit/miss counters, gauges —
+    everything deep code bumps — counters, gauges —
     are captured locally. Each reply piggybacks the drained batch when the
     task asked for capture; the ``None`` shutdown sentinel is answered
     with a final ``("flush", batch)`` carrying whatever is still
@@ -160,8 +148,6 @@ def _worker_main(conn, worker_id: int) -> None:
 
     session = WorkerTelemetrySession(worker_id=worker_id)
     session.push()
-    store = None
-    plans: OrderedDict = OrderedDict()
     last_gen = 0
     while True:
         try:
@@ -181,27 +167,7 @@ def _worker_main(conn, worker_id: int) -> None:
                 task.get("faults", frozenset()), task.get("delay", 0.0),
                 task["mode"], can_kill=True,
             )
-            stream = task.get("stream")
-            if stream is None:
-                key = task["key"]
-                plan = plans.get(key)
-                if plan is None:
-                    if store is None or os.fspath(store.root) != task["store"]:
-                        from repro.engine.plan_store import PlanStore
-
-                        store = PlanStore(task["store"])
-                        plans.clear()
-                    plan = store.load(key)
-                    if plan is None:
-                        raise RuntimeError(
-                            f"plan-store entry {key} is missing or quarantined"
-                        )
-                    plans[key] = plan
-                    while len(plans) > _PLAN_MEMO_LIMIT:
-                        plans.popitem(last=False)
-                else:
-                    plans.move_to_end(key)
-                stream = plan.shard_streams(task["n_shards"])[task["shard"]]
+            stream = task["stream"]
             shm_desc = task.get("shm")
             attached: list = []
             try:
@@ -415,7 +381,7 @@ class ProcessBackend(ExecutionBackend):
     # ------------------------------------------------------------------ #
     # Shard primitives
     # ------------------------------------------------------------------ #
-    def _submit(self, job, faults, plan_ref, events) -> None:
+    def _submit(self, job, faults, events) -> None:
         n = len(job.streams)
         job.workers = self._ensure_workers(n)
         job.fmats = [np.ascontiguousarray(f, dtype=np.float64) for f in job.fmats]
@@ -430,7 +396,7 @@ class ProcessBackend(ExecutionBackend):
         if job.pool is not None:
             shm_base = self._publish(job, faults, events)
         job.transport = "pipe" if job.pool is None else "shm"
-        job.sent = [self._send(job, i, shm_base, plan_ref) for i in range(n)]
+        job.sent = [self._send(job, i, shm_base) for i in range(n)]
 
     def _publish(self, job, faults, events) -> dict | None:
         """Lease and fill every shm segment of the dispatch up front.
@@ -485,14 +451,14 @@ class ProcessBackend(ExecutionBackend):
                 )
             return None
 
-    def _send(self, job, i: int, shm_base, plan_ref) -> bool:
+    def _send(self, job, i: int, shm_base) -> bool:
         """Deliver shard *i*'s task; whether it is in flight. A failed
         delivery is collected as a lost worker."""
         task = {
             "mode": job.mode, "out_rows": job.out_rows, "rank": job.rank,
-            "chunk": job.cfg.chunk, "shard": i, "n_shards": job.cfg.shards,
-            "telemetry": job.capture, "faults": job.faults[i],
-            "delay": job.delay, "stream": None,
+            "chunk": job.cfg.chunk, "shard": i, "telemetry": job.capture,
+            "faults": job.faults[i], "delay": job.delay,
+            "stream": job.streams[i],
         }
         if shm_base is not None:
             task["shm"] = dict(shm_base, out={
@@ -500,10 +466,6 @@ class ProcessBackend(ExecutionBackend):
             })
         else:
             task["fmats"] = job.fmats
-        if plan_ref is not None:
-            task["store"], task["key"] = os.fspath(plan_ref[0]), plan_ref[1]
-        else:
-            task["stream"] = job.streams[i]
         try:
             job.workers[i].conn.send(task)
             return True

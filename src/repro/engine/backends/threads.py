@@ -78,7 +78,7 @@ class ThreadsBackend(ExecutionBackend):
             pool.shutdown(wait=False, cancel_futures=True)
 
     # ------------------------------------------------------------------ #
-    def _submit(self, job, faults, plan_ref, events) -> None:
+    def _submit(self, job, faults, events) -> None:
         pool = self._pool(len(job.streams))
         job.transport = "threads"
         # Threads get the shard's inputs, not the shared job: on a 2-vCPU

@@ -17,7 +17,6 @@ from repro.utils.validation import check_positive_int, require
 
 __all__ = ["EngineConfig", "resolve_engine"]
 
-_VALIDATE = ("off", "cheap", "full")
 _BACKENDS = ("serial", "threads", "processes")
 _SHM = ("auto", "on", "off")
 
@@ -75,22 +74,6 @@ class EngineConfig:
         serial execution across every fault-recovery path. Ignored by
         the ``serial``/``threads`` backends (shared address space
         already). Booleans are accepted and normalized to on/off.
-    plan_store:
-        Optional path of an on-disk :class:`~repro.engine.plan_store.
-        PlanStore` directory (``None`` disables the store tier). Built
-        plans are persisted under content-fingerprint keys with
-        crash-safe writes, so fresh processes — pool workers of the
-        ``processes`` backend, or the next CLI run over the same tensor
-        — skip preprocessing. Corrupt entries are quarantined and
-        replanned, never trusted.
-    plan_store_bytes:
-        On-disk budget for the plan store in bytes (``0`` = unbounded,
-        the default). When set, every save evicts least-recently-used
-        entries (mtime order; loads *and* in-memory plan-cache hits both
-        refresh an entry's recency) until the store —
-        including quarantine residue, which is evicted first — fits the
-        budget. Evictions are counted (``engine.store.evictions``).
-        Ignored when ``plan_store`` is ``None``.
     memory_budget_bytes:
         Resource-pressure memory budget in bytes (``0`` = unbounded, the
         default). Two enforcement points, both on the ``processes``
@@ -105,13 +88,6 @@ class EngineConfig:
         pressure and — when a lease still cannot fit — downgrading that
         dispatch to pipe transport (``transport_downgraded`` event)
         instead of erroring.
-    validate:
-        Plan staleness detection per lookup: ``"cheap"`` (default; shape,
-        nnz, and a 16-point sampled fingerprint of indices/values),
-        ``"full"`` (content hash of all bytes — O(nnz) per lookup), or
-        ``"off"`` (object identity only). The cheap probe can miss an
-        in-place edit of ``tensor.values`` or ``tensor.indices``; call
-        ``get_plan_cache().invalidate(tensor)`` after one.
     """
 
     chunk: int = 4096
@@ -119,10 +95,7 @@ class EngineConfig:
     shard_timeout: float = 0.0
     backend: str = "threads"
     shm: str = "auto"
-    plan_store: str | None = None
-    plan_store_bytes: int = 0
     memory_budget_bytes: int = 0
-    validate: str = "cheap"
 
     def __post_init__(self):
         require(int(self.chunk) >= 0, "chunk must be >= 0")
@@ -143,19 +116,11 @@ class EngineConfig:
             shm in _SHM, f"shm must be one of {_SHM}, got {self.shm!r}"
         )
         object.__setattr__(self, "shm", shm)
-        if self.plan_store is not None:
-            object.__setattr__(self, "plan_store", os.fspath(self.plan_store))
-        require(int(self.plan_store_bytes) >= 0, "plan_store_bytes must be >= 0")
-        object.__setattr__(self, "plan_store_bytes", int(self.plan_store_bytes))
         require(
             int(self.memory_budget_bytes) >= 0, "memory_budget_bytes must be >= 0"
         )
         object.__setattr__(
             self, "memory_budget_bytes", int(self.memory_budget_bytes)
-        )
-        require(
-            self.validate in _VALIDATE,
-            f"validate must be one of {_VALIDATE}, got {self.validate!r}",
         )
 
 

@@ -44,8 +44,6 @@ library as the bit-exact reference the engine is tested against.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from repro.engine.config import EngineConfig
@@ -94,10 +92,10 @@ def _build_csf_forest(tensor):
     return [CsfTensor.from_coo(tensor, root_mode=m) for m in range(tensor.ndim)]
 
 
-def _convert(cache, tensor, name, build, validate):
+def _convert(cache, tensor, name, build):
     """Cached format conversion, wrapping build failures in PlanBuildError."""
     try:
-        return cache.format(tensor, name, build, validate=validate)
+        return cache.format(tensor, name, build)
     except Exception as exc:
         raise PlanBuildError(
             f"{name} conversion failed: {type(exc).__name__}: {exc}"
@@ -109,21 +107,19 @@ _ENGINE_FORMATS = ("coo", "alto", "blco", "hicoo", "csf")
 
 def _dispatch(tensor, factors, fmats, mode, fmt, cfg, cache, rank, faults, events):
     if fmt == "coo":
-        plan = cache.plan(tensor, mode, validate=cfg.validate, events=events)
+        plan = cache.plan(tensor, mode)
         return run_plan(
             plan, fmats, mode, tensor.shape[mode], rank, cfg,
             faults=faults, events=events,
         )
 
     if fmt == "alto":
-        alto = _convert(cache, tensor, "alto", _build_alto, cfg.validate)
+        alto = _convert(cache, tensor, "alto", _build_alto)
         decoded = _convert(
-            cache, tensor, "alto_indices", lambda _t: alto.all_mode_indices(),
-            cfg.validate,
+            cache, tensor, "alto_indices", lambda _t: alto.all_mode_indices()
         )
         plan = cache.plan(
-            tensor, mode, fmt="alto", indices=decoded, values=alto.values,
-            validate=cfg.validate, events=events,
+            tensor, mode, fmt="alto", indices=decoded, values=alto.values
         )
         return run_plan(
             plan, fmats, mode, tensor.shape[mode], rank, cfg,
@@ -132,21 +128,19 @@ def _dispatch(tensor, factors, fmats, mode, fmt, cfg, cache, rank, faults, event
 
     if fmt in ("blco", "hicoo"):
         build = _build_blco if fmt == "blco" else _build_hicoo
-        blocked = _convert(cache, tensor, fmt, build, cfg.validate)
+        blocked = _convert(cache, tensor, fmt, build)
         if fmt == "blco" and tensor.nnz:
             record_block_balance(blocked)
         out = np.zeros((tensor.shape[mode], rank), dtype=np.float64)
         serial = EngineConfig(chunk=cfg.chunk, shards=1)
-        for plan in cache.block_plans(
-            tensor, blocked, mode, validate=cfg.validate, fmt=fmt
-        ):
+        for plan in cache.block_plans(tensor, blocked, mode, fmt=fmt):
             # Per-block accumulation into a private buffer then `out +=`,
             # matching the seed kernel's block order bit for bit.
             out += run_plan(plan, fmats, mode, tensor.shape[mode], rank, serial)
         return out
 
     if fmt == "csf":
-        forest = _convert(cache, tensor, "csf", _build_csf_forest, cfg.validate)
+        forest = _convert(cache, tensor, "csf", _build_csf_forest)
         # The undecorated tree walk: engine_mttkrp already opened this
         # call's mttkrp_kernel span.
         return mttkrp_csf.__wrapped__(forest[mode], factors, mode)
@@ -187,31 +181,8 @@ def engine_mttkrp(
     rank = check_factors(tensor.shape, factors, mode)
     fmats = [np.asarray(f, dtype=np.float64) for f in factors]
 
-    if cfg.plan_store is not None and (
-        cache.store is None or os.fspath(cache.store.root) != cfg.plan_store
-    ):
-        from repro.engine.plan_store import PlanStore
-
-        cache.store = PlanStore(cfg.plan_store, max_bytes=cfg.plan_store_bytes or None)
-
     if faults is not None and faults.fires("corrupt_plan", mode=mode, events=events):
         cache.corrupt(tensor)
-
-    if faults is not None and cache.store is not None:
-        if faults.fires("disk_full", target="store", mode=mode, events=events):
-            # The next store publish hits a synthetic ENOSPC; the store must
-            # skip persistence (store_skipped) and the run keeps its
-            # in-memory plan.
-            cache.store.fail_next_write = True
-        if faults.fires("corrupt_store", mode=mode, events=events):
-            # Damage the on-disk entry this dispatch would read and drop the
-            # in-memory plans, forcing the read path through the corrupt
-            # entry; the store quarantines it and the lookup replans.
-            from repro.engine.plan import _content_hash
-            from repro.engine.plan_store import store_key as _skey
-
-            if cache.store.corrupt(_skey(_content_hash(tensor), fmt, mode)):
-                cache.drop_plans(tensor)
 
     with mttkrp_kernel_span(fmt, mode):
         try:

@@ -75,12 +75,9 @@ def run_plan(
     if cfg.shards > 1 and plan.stream.n_segments > 1:
         streams = plan.shard_streams(cfg.shards)
         if len(streams) > 1:
-            plan_ref = None
-            if cfg.plan_store is not None and plan.store_key is not None:
-                plan_ref = (cfg.plan_store, plan.store_key)
             return get_backend(cfg.backend).run_shards(
                 streams, fmats, mode, out_rows, rank, cfg,
-                faults=faults, events=events, plan_ref=plan_ref,
+                faults=faults, events=events,
             )
     out = np.zeros((out_rows, rank), dtype=np.float64)
     return run_stream(plan.stream, fmats, mode, out, cfg.chunk)

@@ -18,9 +18,13 @@ execution falls out naturally from the segment starts.
 :class:`PlanCache` keys entries by tensor identity with a content-hash
 fallback (an equal copy of a cached tensor adopts the existing plans), and
 guards against in-place mutation with a sampled fingerprint per lookup
-(see ``EngineConfig.validate``). Hits and misses are counted through the
-ambient telemetry session as ``engine.plan.hits`` / ``engine.plan.misses``
-and ``engine.format.hits`` / ``engine.format.misses``.
+(shape, nnz and 16 sampled coordinates/values) plus a structural integrity
+probe of each cached stream. The sampled probe can miss an in-place edit
+of ``tensor.values`` or ``tensor.indices``; call
+``get_plan_cache().invalidate(tensor)`` after one. Hits and misses are
+counted through the ambient telemetry session as ``engine.plan.hits`` /
+``engine.plan.misses`` and ``engine.format.hits`` /
+``engine.format.misses``.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ from collections import OrderedDict
 
 import numpy as np
 
-from repro.engine.plan_store import store_key as _store_key
 from repro.kernels.partition import greedy_assign
 from repro.obs import current_telemetry
 
@@ -150,16 +153,12 @@ def _chunk_edges(bounds: np.ndarray, chunk: int) -> np.ndarray:
 class MttkrpPlan:
     """The cached preprocessing for one ``(tensor, format, mode)`` MTTKRP."""
 
-    __slots__ = ("mode", "out_rows", "stream", "store_key", "_shards")
+    __slots__ = ("mode", "out_rows", "stream", "_shards")
 
     def __init__(self, mode: int, out_rows: int, stream: SegmentStream):
         self.mode = mode
         self.out_rows = out_rows
         self.stream = stream
-        #: Key of this plan's on-disk :class:`~repro.engine.plan_store.
-        #: PlanStore` entry, when one exists — lets the process backend ship
-        #: shard work by reference instead of pickling streams per task.
-        self.store_key: str | None = None
         self._shards: dict[int, list[SegmentStream]] = {}
 
     @classmethod
@@ -243,12 +242,11 @@ class MttkrpPlan:
 
 # --------------------------------------------------------------------- #
 class _Entry:
-    __slots__ = ("tensor", "probe", "content", "plans", "formats")
+    __slots__ = ("tensor", "probe", "plans", "formats")
 
-    def __init__(self, tensor, probe, content, plans=None, formats=None):
+    def __init__(self, tensor, probe, plans=None, formats=None):
         self.tensor = tensor
         self.probe = probe
-        self.content = content
         self.plans = plans if plans is not None else {}
         self.formats = formats if formats is not None else {}
 
@@ -283,13 +281,8 @@ class PlanCache:
     their plans; evicted or invalidated entries release everything.
     """
 
-    def __init__(self, max_tensors: int = 16, store=None):
+    def __init__(self, max_tensors: int = 16):
         self.max_tensors = int(max_tensors)
-        #: Optional :class:`~repro.engine.plan_store.PlanStore` tier: plan
-        #: misses probe the store before building, and fresh builds are
-        #: persisted under their content-fingerprint key. ``None`` keeps
-        #: the cache purely in-memory.
-        self.store = store
         self._entries: "OrderedDict[int, _Entry]" = OrderedDict()
         self._by_content: dict[str, int] = {}
         self.hits = 0
@@ -314,82 +307,40 @@ class PlanCache:
         fmt: str = "coo",
         indices=None,
         values=None,
-        validate: str = "cheap",
-        events=None,
     ) -> MttkrpPlan:
         """The cached plan for ``(tensor, fmt, mode)``; built on first use.
 
         ``indices``/``values`` override the arrays the plan is built from
         (used by the ALTO path, which plans over the decoded linearized
         order rather than the canonical COO order).
-
-        With a :attr:`store` attached, an in-memory miss probes the
-        on-disk tier under the content-fingerprint key before building —
-        the key depends only on tensor bytes, format, and mode, so plans
-        persisted by another process (or a previous run) are found — and
-        every fresh build is persisted back. A store entry that fails
-        validation is quarantined by the store (reported on *events* as
-        ``plan_repaired``) and simply counts as a miss here. ``indices``
-        overrides skip the store: the key cannot see the override arrays.
         """
-        entry = self._entry(tensor, validate)
+        entry = self._entry(tensor)
         key = (fmt, int(mode))
         plan = entry.plans.get(key)
         tel = current_telemetry()
-        if plan is not None and validate != "off" and not plan.integrity_ok():
+        if plan is not None and not plan.integrity_ok():
             # Self-heal: a corrupted cached plan is evicted and replanned
             # instead of feeding garbage offsets into the execution layer.
             entry.plans.pop(key, None)
             plan = None
             self.record_repair(f"plan {fmt}/mode{mode} failed its integrity probe")
         if plan is None:
-            use_store = (
-                self.store is not None and indices is None and values is None
+            self.misses += 1
+            tel.counter("engine.plan.misses")
+            plan = MttkrpPlan.from_arrays(
+                tensor.indices if indices is None else indices,
+                tensor.values if values is None else values,
+                tensor.shape,
+                mode,
             )
-            skey = _store_key(entry.content, fmt, mode) if use_store else None
-            if skey is not None:
-                plan = self.store.load(skey, events=events)
-            if plan is None:
-                self.misses += 1
-                tel.counter("engine.plan.misses")
-                plan = MttkrpPlan.from_arrays(
-                    tensor.indices if indices is None else indices,
-                    tensor.values if values is None else values,
-                    tensor.shape,
-                    mode,
-                )
-                if skey is not None:
-                    # Store tier is best-effort: save() swallows write
-                    # failures (ENOSPC) itself and returns None.
-                    if self.store.save(skey, plan, events=events) is not None:
-                        plan.store_key = skey
             entry.plans[key] = plan
         else:
             self.hits += 1
             tel.counter("engine.plan.hits")
-            # Backfill: a plan built before the store was attached (or
-            # whose entry was quarantined) is persisted on its next hit,
-            # so the on-disk tier converges to the in-memory contents.
-            if (
-                self.store is not None
-                and plan.store_key is None
-                and indices is None
-                and values is None
-            ):
-                skey = _store_key(entry.content, fmt, mode)
-                if self.store.save(skey, plan, events=events) is not None:
-                    plan.store_key = skey
-            elif self.store is not None and plan.store_key is not None:
-                # LRU touch: an in-memory hit never re-reads the file, so
-                # without this the budget enforcer sees the hottest plan
-                # as the coldest entry and evicts it first under pressure
-                # (from this process's saves or a sibling's).
-                self.store.touch(plan.store_key)
         return plan
 
     def block_plans(
-        self, tensor, blocked, mode: int, validate: str = "cheap", *,
-        fmt: str = "blco",
+        self, tensor, blocked, mode: int, *, fmt: str = "blco"
     ) -> list:
         """Per-block segment streams for a blocked format, cached per mode.
 
@@ -397,11 +348,11 @@ class PlanCache:
         ``(f"{fmt}_blocks", mode)`` and built in the format's block order,
         which the serial per-block execution preserves bit for bit.
         """
-        entry = self._entry(tensor, validate)
+        entry = self._entry(tensor)
         key = (f"{fmt}_blocks", int(mode))
         plans = entry.plans.get(key)
         tel = current_telemetry()
-        if plans is not None and validate != "off" and not all(
+        if plans is not None and not all(
             p.integrity_ok() for p in plans
         ):
             entry.plans.pop(key, None)
@@ -443,14 +394,14 @@ class PlanCache:
             raise ValueError(f"unknown blocked format {fmt!r}")
         return plans
 
-    def format(self, tensor, fmt: str, build, validate: str = "cheap"):
+    def format(self, tensor, fmt: str, build):
         """The cached format conversion for *tensor*; ``build(tensor)`` on miss.
 
         Used for ALTO/BLCO linearizations, CSF mode trees, and the decoded
         ALTO coordinate matrix — every once-per-tensor derivation, kept
         across ``cstf`` calls over the same tensor.
         """
-        entry = self._entry(tensor, validate)
+        entry = self._entry(tensor)
         tel = current_telemetry()
         converted = entry.formats.get(fmt)
         if converted is None:
@@ -464,15 +415,11 @@ class PlanCache:
         return converted
 
     # ------------------------------------------------------------------ #
-    def _entry(self, tensor, validate: str) -> _Entry:
+    def _entry(self, tensor) -> _Entry:
         key = id(tensor)
         entry = self._entries.get(key)
         if entry is not None and entry.tensor is tensor:
-            if (
-                validate == "off"
-                or (validate == "cheap" and entry.probe == _probe(tensor))
-                or (validate == "full" and entry.content == _content_hash(tensor))
-            ):
+            if entry.probe == _probe(tensor):
                 self._entries.move_to_end(key)
                 return entry
             # Stale: the tensor mutated under the cache. Evict-and-replan
@@ -487,9 +434,9 @@ class PlanCache:
         twin_key = self._by_content.get(content)
         if twin_key is not None and twin_key in self._entries:
             twin = self._entries[twin_key]
-            entry = _Entry(tensor, _probe(tensor), content, twin.plans, twin.formats)
+            entry = _Entry(tensor, _probe(tensor), twin.plans, twin.formats)
         else:
-            entry = _Entry(tensor, _probe(tensor), content)
+            entry = _Entry(tensor, _probe(tensor))
             self._by_content[content] = key
         self._entries[key] = entry
         while len(self._entries) > self.max_tensors:
@@ -511,21 +458,6 @@ class PlanCache:
     def invalidate(self, tensor) -> None:
         """Drop every cached plan/format of *tensor* (after mutating it)."""
         self._evict(id(tensor))
-
-    def drop_plans(self, tensor) -> int:
-        """Drop *tensor*'s in-memory plans, keeping format conversions.
-
-        The next :meth:`plan` lookup goes back through the store tier (when
-        one is attached) — the hook the chaos harness uses to force a
-        corrupted store entry onto the read path. Returns the number of
-        plan slots dropped.
-        """
-        entry = self._entries.get(id(tensor))
-        if entry is None or entry.tensor is not tensor:
-            return 0
-        dropped = len(entry.plans)
-        entry.plans.clear()
-        return dropped
 
     def corrupt(self, tensor, how: str = "bounds") -> int:
         """Deliberately corrupt *tensor*'s cached plans (chaos testing).

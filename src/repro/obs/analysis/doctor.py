@@ -25,15 +25,14 @@ watch:
   fine, the cross-process telemetry path is not;
 - **degraded execution** — the run only finished because the execution
   layer healed itself: shard retries/timeouts, plan-cache repairs,
-  plan-store quarantines, lost workers, supervisor retries, ladder
-  degradations, or format fallbacks;
+  lost workers, supervisor retries, ladder degradations, or format
+  fallbacks;
 - **resource pressure** — the run degraded under memory/disk pressure:
   workers recycled over the RSS budget (``worker_recycled``), shm
   dispatches downgraded to pipe transport (``transport_downgraded``),
-  checkpoint/plan-store writes skipped on ENOSPC
-  (``checkpoint_skipped``/``store_skipped``), telemetry records dropped
-  by a degraded sink (``obs.sink.dropped``) — plus how close the peak
-  worker RSS came to the configured budget.
+  checkpoint writes skipped on ENOSPC (``checkpoint_skipped``),
+  telemetry records dropped by a degraded sink (``obs.sink.dropped``) —
+  plus how close the peak worker RSS came to the configured budget.
 """
 
 from __future__ import annotations
@@ -404,7 +403,6 @@ def _detect_degraded_execution(record: RunRecord) -> list[Finding]:
         "shard timeouts": _counter(record, "engine.shard.timeouts"),
         "plan repairs": _counter(record, "engine.plan.repairs"),
         "workers lost": _counter(record, "engine.backend.workers_lost"),
-        "store entries quarantined": _counter(record, "engine.store.quarantined"),
         "silent workers": _counter(record, "obs.worker.silent"),
     }
     total = sum(counts.values()) + len(degraded) + len(fallbacks) + len(shard_events)
@@ -445,14 +443,12 @@ def _detect_resource_pressure(record: RunRecord) -> list[Finding]:
 
     Every signal here is a *survived* pressure episode — the run finished
     and its numerics are bit-identical — but each one traded something
-    away (zero-copy transport, warm workers, checkpoint currency, plan
-    persistence, or telemetry completeness) that a right-sized budget
-    would have kept.
+    away (zero-copy transport, warm workers, checkpoint currency, or
+    telemetry completeness) that a right-sized budget would have kept.
     """
     recycled = [e for e in record.events if e.kind == "worker_recycled"]
     downgrades = [e for e in record.events if e.kind == "transport_downgraded"]
     ck_skips = [e for e in record.events if e.kind == "checkpoint_skipped"]
-    st_skips = [e for e in record.events if e.kind == "store_skipped"]
     counts = {
         "workers recycled over the memory budget": max(
             _counter(record, "engine.proc.workers_recycled"), len(recycled)
@@ -463,9 +459,6 @@ def _detect_resource_pressure(record: RunRecord) -> list[Finding]:
         "idle shm segments trimmed": _counter(record, "engine.shm.trims"),
         "checkpoint writes skipped (ENOSPC)": max(
             _counter(record, "resilience.checkpoint.skips"), len(ck_skips)
-        ),
-        "plan-store writes skipped (ENOSPC)": max(
-            _counter(record, "engine.store.write_errors"), len(st_skips)
         ),
         "telemetry records dropped by a degraded sink": _counter(
             record, "obs.sink.dropped"
@@ -500,7 +493,7 @@ def _detect_resource_pressure(record: RunRecord) -> list[Finding]:
                 "rss_budget_ratio": ratio,
                 "iterations": sorted(
                     {e.iteration for e in recycled + downgrades + ck_skips
-                     + st_skips if e.iteration is not None}
+                     if e.iteration is not None}
                 ),
             },
             score=float(total) + (ratio or 0.0),

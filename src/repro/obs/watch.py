@@ -3,8 +3,8 @@
 Tails a telemetry JSONL stream *while the run writes it* and renders a
 compact, in-place-refreshing status panel: per-shard progress, worker
 health (dispatches, lost workers, respawns, silent workers, final
-flushes), plan-store hit rates, the fit trajectory as a sparkline, and
-the telemetry self-cost meter. Two pieces:
+flushes), shard faults, the fit trajectory as a sparkline, and the
+telemetry self-cost meter. Two pieces:
 
 - :class:`JsonlTail` — an incremental reader that remembers its byte
   offset and carries partial trailing lines between polls. It opens the
@@ -86,9 +86,6 @@ class JsonlTail:
 
 class RunMonitor:
     """Aggregates a telemetry record stream into a live status panel."""
-
-    #: Counter names surfaced in the panel, grouped by panel row.
-    _STORE = ("hits", "misses", "writes", "evictions", "quarantined")
 
     def __init__(self, title: str = ""):
         self.title = title
@@ -210,15 +207,6 @@ class RunMonitor:
             lines.append(
                 f"  faults   retries={retries:.0f} timeouts={timeouts:.0f}"
                 + (f" · events: {evs}" if evs else "")
-            )
-        store = {k: self._c(f"engine.store.{k}") for k in self._STORE}
-        if any(store.values()):
-            probes = store["hits"] + store["misses"]
-            rate = f" ({store['hits'] / probes:.0%} hit)" if probes else ""
-            lines.append(
-                "  store    "
-                + " ".join(f"{k}={v:.0f}" for k, v in store.items())
-                + rate
             )
         if self._c("obs.overhead.batches"):
             lines.append(

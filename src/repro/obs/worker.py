@@ -8,7 +8,7 @@ silently dropped. This module closes that gap:
 
 - :class:`WorkerTelemetrySession` — a sink-less :class:`Telemetry` the
   worker loop installs as its ambient session. Everything the shard code
-  records (``shard_kernel`` spans, plan-store counters, gauges,
+  records (``shard_kernel`` spans, counters, gauges,
   histograms, events) lands in local memory; :meth:`~WorkerTelemetrySession.drain`
   packages the *new* items since the previous drain into a compact
   JSON-serializable batch that rides back over the existing duplex pipe —

@@ -19,7 +19,7 @@ loses hours of work. This package makes the stack survive those events:
   ``faults``/``chaos``/``procfaults`` test suites use to prove every
   recovery path fires (numeric corruption plus the ``EXECUTE`` faults
   targeting the host engine: worker crashes, real process kills,
-  stragglers, corrupted plans, corrupted plan-store entries).
+  stragglers, corrupted plans).
 - :mod:`~repro.resilience.supervisor` — unattended-run supervision:
   seeded-backoff retries, wall-clock deadlines (between attempts and
   cooperatively at AO iteration boundaries), checkpoint auto-resume,

@@ -26,10 +26,10 @@ All arrays round-trip through ``.npz`` in binary, so
 ``cstf(..., resume_from=ck, max_iters=10)`` produce *identical* floats.
 
 The archive holds **stored** (uncompressed) zip members, written by
-:func:`repro.utils.npzio.write_npz_atomic`, the same writer the plan
-store uses. zlib was dropped because a durable run saves every few
-iterations and deflating the float64 payload took close to 90% of each
-save. On the nips-shaped checkpoint of a 10-iteration rank-32
+:func:`repro.utils.npzio.write_npz_atomic`, the same writer
+``StreamingCstf.save`` uses. zlib was dropped because a durable run saves
+every few iterations and deflating the float64 payload took close to 90%
+of each save. On the nips-shaped checkpoint of a 10-iteration rank-32
 ``cuadmm`` run (factors, ADMM duals and Grams of four modes) the stored
 file is 1.9× larger (0.85 → 1.61 MB), while one save falls from
 55–69 ms to 6–8 ms and one load from 22–27 ms to 7–10 ms (min–median of

@@ -46,7 +46,6 @@ DEADLINE_EXCEEDED = "deadline_exceeded"
 WORKER_RECYCLED = "worker_recycled"
 TRANSPORT_DOWNGRADED = "transport_downgraded"
 CHECKPOINT_SKIPPED = "checkpoint_skipped"
-STORE_SKIPPED = "store_skipped"
 
 
 @dataclass(frozen=True)

@@ -35,17 +35,12 @@ it lands:
     Drawn by :meth:`FaultInjector.fires` in ``engine_mttkrp``
     (``engine/driver.py``) before the plan lookup; ``PlanCache.corrupt``
     damages the cached plans, which the cache detects, evicts and replans.
-``corrupt_store``
-    Drawn there too when a plan store is attached; ``PlanStore.corrupt``
-    damages the on-disk entry the dispatch would read, which the store
-    quarantines on load.
 ``disk_full``
     One draw per persistence target, each a synthetic ENOSPC the run
-    survives: ``target="store"`` in ``engine_mttkrp`` arms
-    ``PlanStore.fail_next_write`` (skip-store); ``"checkpoint"`` in
-    ``cstf``'s checkpoint writer raises at once (the last checkpoint is
-    kept); ``"sink"`` after each outer iteration of a telemetry-enabled
-    ``cstf`` arms the JSONL sink's ``fail_next_write`` (the sink degrades).
+    survives: ``target="checkpoint"`` in ``cstf``'s checkpoint writer
+    raises at once (the last checkpoint is kept); ``"sink"`` after each
+    outer iteration of a telemetry-enabled ``cstf`` arms the JSONL sink's
+    ``fail_next_write`` (the sink degrades).
 ``shm_exhausted``
     Drawn in ``ProcessBackend._publish`` (``engine/backends/processes.py``)
     on a shared-memory dispatch, which then fails its first lease as if
@@ -98,7 +93,6 @@ _SHARD_KINDS = ("worker_crash", "slow_shard", "kill_worker", "oom_worker")
 #: ``fault_injected`` detail each logs.
 _TARGET_DETAIL = {
     "corrupt_plan": "corrupted a cached plan before lookup",
-    "corrupt_store": "corrupted the on-disk plan-store entry before lookup",
     "disk_full": "injected ENOSPC on the next {target} write",
     "shm_exhausted": "exhausted /dev/shm for the next segment lease",
 }
@@ -277,8 +271,8 @@ class FaultInjector:
 
         Draws once per matching spec, in spec order, and logs each firing
         spec as a ``fault_injected`` event. ``disk_full`` names the
-        persistence *target* about to write (``"store"`` /
-        ``"checkpoint"`` / ``"sink"``), so each surface draws independently
+        persistence *target* about to write (``"checkpoint"`` /
+        ``"sink"``), so each surface draws independently
         from the shared stream.
         """
         require(kind in _TARGET_DETAIL, f"not a single-target fault kind: {kind!r}")

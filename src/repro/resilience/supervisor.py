@@ -257,11 +257,16 @@ class RunSupervisor:
     def run(self, tensor):
         """Run ``cstf(tensor, config)`` under supervision; see the module
         docstring for the retry/degrade/deadline semantics."""
-        from repro.core.cstf import cstf
+        from repro.core.cstf import _coerce_init, cstf
         from repro.engine.driver import PlanBuildError
 
-        # An invalid tensor fails the same way on every attempt and rung.
+        # An invalid tensor or warm start fails the same way on every
+        # attempt and rung: reject it before the retry loop.
         check_shape(tensor.shape, min_modes=2)
+        if self.config.init_factors is not None:
+            _coerce_init(
+                tensor.shape, self.config.rank, self.config.init_factors
+            )
         tel = self._tel()
         rungs = _ladder(self.config.engine)
         rung = 0

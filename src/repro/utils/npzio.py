@@ -1,8 +1,8 @@
 """Verified, atomic ``.npz`` writes: the one writer behind checkpoints and
-the plan store.
+``StreamingCstf.save``.
 
-Both persistence layers need the same three guarantees from a file on
-disk, and both get them from this module:
+Both need the same guarantees from a file on disk, and both get them from
+this module (the payload checksum is the checkpoint layer's):
 
 - **Atomic publish** — the archive is written to a ``<name>.tmp`` sibling,
   flushed and fsynced, and only then moved over the destination with

@@ -71,11 +71,6 @@ class TestConfig:
         with pytest.raises(ValueError, match="backend"):
             EngineConfig(backend="fibers")
 
-    def test_plan_store_normalized_to_path_string(self, tmp_path):
-        cfg = EngineConfig(plan_store=tmp_path / "plans")
-        assert cfg.plan_store == str(tmp_path / "plans")
-        assert EngineConfig().plan_store is None
-
     def test_shm_validated_and_normalized(self):
         assert EngineConfig().shm == "auto"
         for value in ("auto", "on", "off"):
@@ -91,13 +86,11 @@ class TestConfig:
         assert cfg.backend == "processes"
         assert cfg.shards > 1
 
-    def test_resolve_engine_dict_with_backend(self, tmp_path):
-        cfg = resolve_engine(
-            {"shards": 3, "backend": "serial", "plan_store": str(tmp_path)}
-        )
+    def test_resolve_engine_dict_with_backend(self):
+        cfg = resolve_engine({"shards": 3, "backend": "serial", "shm": "off"})
         assert cfg.shards == 3
         assert cfg.backend == "serial"
-        assert cfg.plan_store == str(tmp_path)
+        assert cfg.shm == "off"
 
 
 class TestTreeReduce:
@@ -171,13 +164,6 @@ class TestCliFlags:
             self._args("--backend", "threads", "--shards", "2")
         )
         assert setting["shards"] == 2
-
-    def test_plan_store_flag(self, tmp_path):
-        setting = _engine_setting(
-            self._args("--plan-store", str(tmp_path / "plans"))
-        )
-        assert setting == {"plan_store": str(tmp_path / "plans")}
-        assert resolve_engine(setting).plan_store == str(tmp_path / "plans")
 
     def test_shm_flag(self):
         setting = _engine_setting(

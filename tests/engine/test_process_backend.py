@@ -23,7 +23,7 @@ from repro.engine import (
     get_backend,
     shutdown_backends,
 )
-from repro.engine.backends.processes import _PLAN_MEMO_LIMIT, ProcessBackend
+from repro.engine.backends.processes import ProcessBackend
 from repro.kernels.mttkrp_coo import mttkrp_coo
 from repro.obs import telemetry_session
 from repro.resilience import EventLog, FaultInjector, FaultSpec
@@ -322,99 +322,6 @@ class TestForkSafety:
             pool.close()  # the "real parent" reaps its own segments
             inherited.proc.kill()
             inherited.proc.join(timeout=2.0)
-
-
-class TestWorkerPlanMemo:
-    def test_memo_is_bounded_and_reloads_evicted_plans(self, tmp_path):
-        """Regression: the worker-side plan memo grew without bound. It is
-        now an LRU capped at ``_PLAN_MEMO_LIMIT``; a plan evicted from the
-        memo is transparently re-loaded from the on-disk store. The
-        worker's plan-store hit counters (shipped in telemetry batches)
-        make both behaviours observable from the parent side."""
-        from repro.engine import PlanStore
-        from repro.engine.backends.processes import _worker_main
-        from repro.engine.plan import MttkrpPlan
-
-        store = PlanStore(tmp_path / "plans")
-        rng = np.random.default_rng(0)
-        tensors, keys = [], []
-        for s in range(_PLAN_MEMO_LIMIT + 3):
-            t = random_sparse((12, 10, 8), nnz=200, seed=100 + s)
-            key = f"memo{s:02d}-coo-m0"
-            store.save(
-                key,
-                MttkrpPlan.from_arrays(t.indices, t.values, t.shape, 0),
-            )
-            tensors.append(t)
-            keys.append(key)
-
-        def task_for(i):
-            return {
-                "mode": 0, "out_rows": tensors[i].shape[0], "rank": 4,
-                "chunk": 128, "shard": 0, "n_shards": 1, "telemetry": True,
-                "stream": None, "store": str(tmp_path / "plans"),
-                "key": keys[i], "fmats": fmats_for[i],
-            }
-
-        fmats_for = [
-            [rng.random((d, 4)) for d in t.shape] for t in tensors
-        ]
-        # Drive the worker loop in a thread over a real pipe: no fork, so
-        # the memo's state is directly exercised end to end.
-        parent, child = multiprocessing.Pipe(duplex=True)
-        thread = threading.Thread(
-            target=_worker_main, args=(child, 0), daemon=True
-        )
-        thread.start()
-
-        def roundtrip(i):
-            parent.send(task_for(i))
-            status, payload, batch = parent.recv()
-            assert status == "ok"
-            assert np.array_equal(
-                payload, mttkrp_coo(tensors[i], fmats_for[i], 0)
-            )
-            return (batch or {}).get("counters", {}).get(
-                "engine.store.hits", 0
-            )
-
-        hits = sum(roundtrip(i) for i in range(len(keys)))
-        assert hits == len(keys)  # every plan loaded from the store once
-        # The most recent plan is still memoized: no store load.
-        assert roundtrip(len(keys) - 1) == 0
-        # The oldest plan was evicted from the bounded memo: re-loaded.
-        assert roundtrip(0) == 1
-        parent.send(None)
-        reply = parent.recv()
-        assert reply[0] == "flush"
-        thread.join(timeout=5.0)
-        assert not thread.is_alive()
-
-
-class TestPlanRefShipping:
-    def test_workers_load_plans_from_the_store(self, tensor, factors, tmp_path):
-        """With a plan store configured the task carries only the store key;
-        workers rebuild their shard stream from the persisted plan."""
-        cfg = _cfg(plan_store=tmp_path / "plans")
-        cache = PlanCache()
-        for mode in range(tensor.ndim):
-            ref = mttkrp_coo(tensor, factors, mode)
-            got = engine_mttkrp(tensor, factors, mode, "coo", cfg, cache)
-            assert np.array_equal(ref, got)
-        assert cache.store is not None and len(cache.store) == tensor.ndim
-
-    def test_store_backed_dispatch_survives_a_kill(self, tensor, factors, tmp_path):
-        cfg = _cfg(plan_store=tmp_path / "plans")
-        inj = FaultInjector(
-            FaultSpec("EXECUTE", "kill_worker", probability=1.0), seed=6
-        )
-        events = EventLog()
-        got = engine_mttkrp(
-            tensor, factors, 0, "coo", cfg, PlanCache(),
-            faults=inj, events=events,
-        )
-        assert np.array_equal(got, mttkrp_coo(tensor, factors, 0))
-        assert len(events.of_kind("worker_lost")) == 1
 
 
 class TestLifecycle:

@@ -117,19 +117,6 @@ class TestWorkerPidTracks:
         # tid is the worker's OS pid; >= 2 distinct real processes.
         assert len({e["tid"] for e in kernel_events}) >= 2
 
-    def test_store_counters_shipped_from_workers(self, tensor, factors, tmp_path):
-        """Plan-store traffic inside workers lands in the parent's ambient
-        registry — the hit-rate `repro watch` and `repro perf` report."""
-        cfg = _cfg(plan_store=tmp_path / "plans")
-        cache = PlanCache()
-        with telemetry_session() as tel:
-            engine_mttkrp(tensor, factors, 0, "coo", cfg, cache)
-            engine_mttkrp(tensor, factors, 0, "coo", cfg, cache)
-        counters = tel.metrics.summary()["counters"]
-        # Workers load the plan by store key: their hits ship back.
-        assert counters.get("engine.store.hits", 0) >= SHARDS
-
-
 class TestShutdownFlush:
     def test_shutdown_merges_final_worker_flush(self, tensor, factors):
         """Regression: pending worker telemetry must be flushed and merged

@@ -326,15 +326,14 @@ class TestChaosDeterminism:
     @pytest.mark.procfaults
     def test_process_campaign_replays_pinned_event_stream(self, tensor, tmp_path):
         """A processes campaign over every single-target execution fault —
-        plan and store corruption, ENOSPC on the plan store, checkpoint and
-        telemetry sink, and a refused shm lease — logs exactly this
+        plan corruption, ENOSPC on the checkpoint and telemetry sink, and a
+        refused shm lease — logs exactly this
         ``(kind, mode, iteration, target, detail)`` stream (recovery events
         without their detail, which names temporary paths)."""
         inj = FaultInjector(
             [
                 FaultSpec("EXECUTE", "corrupt_plan", probability=0.3),
-                FaultSpec("EXECUTE", "corrupt_store", probability=0.3),
-                FaultSpec("EXECUTE", "disk_full", probability=0.3),
+                FaultSpec("EXECUTE", "disk_full", probability=0.5),
                 FaultSpec("EXECUTE", "shm_exhausted", probability=0.3),
             ],
             seed=8,
@@ -344,8 +343,7 @@ class TestChaosDeterminism:
         try:
             res = cstf(tensor, CstfConfig(
                 rank=4, max_iters=2, update="admm", mttkrp_format="coo", seed=2,
-                engine={"shards": 2, "backend": "processes", "shm": "on",
-                        "plan_store": str(tmp_path / "store")},
+                engine={"shards": 2, "backend": "processes", "shm": "on"},
                 checkpoint_every=1, checkpoint_path=str(tmp_path / "ck.npz"),
                 fault_injector=inj,
                 telemetry=Telemetry(jsonl_path=str(tmp_path / "trace.jsonl")),
@@ -353,34 +351,27 @@ class TestChaosDeterminism:
         finally:
             shutdown_backends()
         plan = "corrupted a cached plan before lookup"
-        store = "corrupted the on-disk plan-store entry before lookup"
         shm = "exhausted /dev/shm for the next segment lease"
         assert [
             (e.kind, e.mode, e.iteration, e.data.get("target"),
              e.detail if e.kind == "fault_injected" else None)
             for e in res.events
         ] == [
-            ("fault_injected", 2, None, None, plan),
-            ("fault_injected", 2, None, None, store),
-            ("fault_injected", 2, None, None, shm),
-            ("transport_downgraded", 2, None, None, None),
             ("fault_injected", None, 1, "sink",
              "injected ENOSPC on the next sink write"),
             ("fault_injected", None, 1, "checkpoint",
              "injected ENOSPC on the next checkpoint write"),
             ("checkpoint_skipped", None, 1, None, None),
-            ("fault_injected", 0, None, None, store),
-            ("plan_repaired", None, None, None, None),
+            ("fault_injected", 0, None, None, plan),
+            ("fault_injected", 1, None, None, plan),
             ("fault_injected", 1, None, None, shm),
             ("transport_downgraded", 1, None, None, None),
-            ("fault_injected", 2, None, "store",
-             "injected ENOSPC on the next store write"),
-            ("fault_injected", 2, None, None, store),
-            ("plan_repaired", None, None, None, None),
-            ("store_skipped", None, None, None, None),
+            ("fault_injected", 2, None, None, plan),
             ("fault_injected", 2, None, None, shm),
             ("transport_downgraded", 2, None, None, None),
-            ("checkpoint_saved", None, 2, None, None),
+            ("fault_injected", None, 2, "checkpoint",
+             "injected ENOSPC on the next checkpoint write"),
+            ("checkpoint_skipped", None, 2, None, None),
         ]
         assert res.telemetry.metrics_summary["counters"]["obs.sink.dropped"] > 0
 

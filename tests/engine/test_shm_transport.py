@@ -227,31 +227,6 @@ class TestFaultRecovery:
         ]
         assert [s.attrs["transport"] for s in redone] == ["inline"]
 
-    def test_corrupt_store_bitwise_identical_with_shm(
-        self, tensor, factors, tmp_path
-    ):
-        """Store corruption under the shm transport: the entry is
-        quarantined and replanned, workers re-derive their shard streams,
-        and the shm-collected result still matches serial bitwise."""
-        shutdown_backends()
-        ref = mttkrp_coo(tensor, factors, 0)
-        cfg = _cfg(shm="on", plan_store=tmp_path / "plans")
-        cache = PlanCache()
-        # Warm the store so the injected fault has an entry to damage.
-        assert np.array_equal(
-            ref, engine_mttkrp(tensor, factors, 0, "coo", cfg, cache)
-        )
-        inj = FaultInjector(
-            FaultSpec("EXECUTE", "corrupt_store", probability=1.0), seed=9
-        )
-        events = EventLog()
-        got = engine_mttkrp(
-            tensor, factors, 0, "coo", cfg, cache,
-            faults=inj, events=events,
-        )
-        assert np.array_equal(ref, got)
-        assert len(events.of_kind("plan_repaired")) == 1
-
     def test_straggler_timeout_bitwise_identical_with_shm(
         self, tensor, factors
     ):

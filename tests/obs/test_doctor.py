@@ -235,14 +235,12 @@ class TestLostWorkers:
         rec.metrics_summary["counters"]["engine.backend.respawns"] = 1
         assert all(f.code != "lost_workers" for f in diagnose(rec))
 
-    def test_degraded_execution_counts_store_quarantines(self):
+    def test_degraded_execution_counts_lost_workers(self):
         rec = self._record()
-        rec.metrics_summary["counters"]["engine.store.quarantined"] = 1
         rec.metrics_summary["counters"]["engine.backend.workers_lost"] = 1
         findings = diagnose(rec)
         degraded = next(f for f in findings if f.code == "degraded_execution")
-        assert degraded.evidence["counters"]["store entries quarantined"] == 1
-        assert degraded.evidence["counters"]["workers lost"] == 1
+        assert degraded.evidence["counters"] == {"workers lost": 1}
         assert "1 workers lost" in degraded.summary
 
 
@@ -374,12 +372,10 @@ class TestResourcePressure:
     def test_enospc_skips_counted(self):
         rec = self._record()
         rec.metrics_summary["counters"]["resilience.checkpoint.skips"] = 1
-        rec.metrics_summary["counters"]["engine.store.write_errors"] = 2
         (finding,) = [f for f in diagnose(rec) if f.code == "resource_pressure"]
-        assert finding.evidence["counters"][
-            "checkpoint writes skipped (ENOSPC)"] == 1
-        assert finding.evidence["counters"][
-            "plan-store writes skipped (ENOSPC)"] == 2
+        assert finding.evidence["counters"] == {
+            "checkpoint writes skipped (ENOSPC)": 1
+        }
 
 
 class TestRanking:

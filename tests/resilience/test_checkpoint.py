@@ -8,15 +8,12 @@ import numpy as np
 import pytest
 
 from repro.core.cstf import cstf
-from repro.engine.plan import PlanCache, _content_hash
-from repro.engine.plan_store import PlanStore, store_key
 from repro.resilience import (
     CheckpointCorrupt,
     ResilienceError,
     load_checkpoint,
     save_checkpoint,
 )
-from repro.resilience.events import PLAN_REPAIRED, EventLog
 from repro.tensor.synthetic import random_sparse
 
 
@@ -283,8 +280,8 @@ def _flip_member_byte(path, member):
 
 
 class TestStoredLayout:
-    """Checkpoints and plan-store entries are written as stored (not
-    deflated) zip members; deflated archives from older versions still load."""
+    """Checkpoints are written as stored (not deflated) zip members;
+    deflated archives from older versions still load."""
 
     def test_checkpoint_members_are_stored(self, tensor, tmp_path):
         path = tmp_path / "cp.npz"
@@ -295,17 +292,6 @@ class TestStoredLayout:
         names = {info.filename for info in infos}
         assert {"meta_json.npy", "factor_0.npy", "weights.npy"} <= names
         assert any(name.startswith("state__") for name in names)
-        assert all(info.compress_type == zipfile.ZIP_STORED for info in infos)
-
-    def test_plan_store_members_are_stored(self, tensor, tmp_path):
-        store = PlanStore(tmp_path)
-        cache = PlanCache()
-        cache.store = store
-        cache.plan(tensor, 0)
-        (key,) = store.keys()
-        with zipfile.ZipFile(store.path(key)) as zf:
-            infos = zf.infolist()
-        assert "values.npy" in {info.filename for info in infos}
         assert all(info.compress_type == zipfile.ZIP_STORED for info in infos)
 
     @pytest.mark.parametrize("layout", ["stored", "deflated"])
@@ -344,24 +330,3 @@ class TestStoredLayout:
             ckpt = load_checkpoint(path)
         assert ckpt.iteration == 1
         assert np.array_equal(ckpt.factors[0], np.full((3, 2), 1.0))
-
-    def test_flipped_byte_in_stored_plan_entry_is_repaired(self, tensor, tmp_path):
-        store = PlanStore(tmp_path)
-        cache = PlanCache()
-        cache.store = store
-        built = cache.plan(tensor, 0)
-        key = store_key(_content_hash(tensor), "coo", 0)
-        assert key in store
-        _flip_member_byte(store.path(key), "values")
-
-        fresh = PlanCache()
-        fresh.store = store
-        events = EventLog()
-        plan = fresh.plan(tensor, 0, events=events)
-        assert store.quarantined == 1
-        (ev,) = events.of_kind(PLAN_REPAIRED)
-        assert key in ev.detail
-        assert np.array_equal(plan.stream.values, built.stream.values)
-        # The rebuilt plan was republished under the same key and loads clean.
-        assert store.load(key) is not None
-        assert store.quarantined == 1

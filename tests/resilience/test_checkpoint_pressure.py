@@ -1,9 +1,9 @@
-"""ENOSPC-safe persistence: checkpoints, the plan store, and resume.
+"""ENOSPC-safe persistence: checkpoints and resume.
 
 Persistence failures must never fail a run that can still compute — the
 checkpoint layer keeps its last completed generation (and its ``.prev``)
-and records ``checkpoint_skipped``; the plan store skips the write and
-records ``store_skipped``; resume after the failure is bit-identical.
+and records ``checkpoint_skipped``; resume after the failure is
+bit-identical.
 """
 
 import errno
@@ -19,14 +19,9 @@ from repro.core.cstf import cstf
 # The package re-exports the `cstf` function under the same dotted name, so
 # fetch the module object itself for monkeypatching.
 cstf_mod = sys.modules["repro.core.cstf"]
-from repro.engine.config import EngineConfig
-from repro.engine.driver import engine_mttkrp
-from repro.engine.plan import PlanCache, _content_hash
-from repro.engine.plan_store import PlanStore, store_key
-from repro.kernels.mttkrp_coo import mttkrp_coo
 from repro.resilience import FaultInjector, FaultSpec, load_checkpoint
 from repro.resilience.checkpoint import save_checkpoint
-from repro.resilience.events import CHECKPOINT_SKIPPED, STORE_SKIPPED, EventLog
+from repro.resilience.events import CHECKPOINT_SKIPPED
 from repro.tensor.synthetic import random_sparse
 from repro.utils import npzio
 
@@ -157,57 +152,3 @@ class TestCheckpointEnospc:
             e.kind == "fault_injected" and e.data.get("target") == "checkpoint"
             for e in result.events
         )
-
-
-class TestPlanStoreEnospc:
-    def test_save_skips_on_oserror(self, tmp_path, monkeypatch):
-        tensor = random_sparse((10, 8, 6), nnz=120, seed=1)
-        cache = PlanCache()
-        cache.store = PlanStore(tmp_path / "store")
-        events = EventLog()
-        injected = _fail_payload_writes(monkeypatch)
-        plan = cache.plan(tensor, 0, events=events)  # must not raise
-        assert injected["n"] == 1
-        assert plan is not None
-        assert plan.store_key is None
-        assert cache.store.write_errors == 1
-        assert len(cache.store) == 0
-        assert not list((tmp_path / "store").glob("*.tmp"))
-        skips = events.of_kind(STORE_SKIPPED)
-        assert len(skips) == 1 and "skipping persistence" in skips[0].detail
-
-    def test_fail_next_write_arm_is_one_shot(self, tmp_path):
-        tensor = random_sparse((10, 8, 6), nnz=120, seed=1)
-        cache = PlanCache()
-        cache.store = PlanStore(tmp_path / "store")
-        cache.store.fail_next_write = True
-        events = EventLog()
-        plan = cache.plan(tensor, 0, events=events)
-        assert plan.store_key is None and len(cache.store) == 0
-        assert not cache.store.fail_next_write
-        # Next lookup backfills the entry now that the "disk" has space.
-        plan2 = cache.plan(tensor, 0, events=events)
-        assert plan2 is plan
-        assert plan2.store_key == store_key(_content_hash(tensor), "coo", 0)
-        assert len(cache.store) == 1
-        assert cache.store.stats()["write_errors"] == 1
-
-    def test_engine_dispatch_survives_injected_store_disk_full(self, tmp_path):
-        tensor = random_sparse((14, 11, 9), nnz=260, seed=7)
-        rng = np.random.default_rng(0)
-        factors = [rng.random((d, 4)) for d in tensor.shape]
-        cfg = EngineConfig(chunk=64, plan_store=str(tmp_path / "store"))
-        injector = FaultInjector(
-            FaultSpec(phase="EXECUTE", kind="disk_full", probability=1.0), seed=5
-        )
-        events = EventLog()
-        cache = PlanCache()
-        for mode in range(tensor.ndim):
-            got = engine_mttkrp(
-                tensor, factors, mode, "coo", cfg, cache,
-                faults=injector, events=events,
-            )
-            assert np.array_equal(got, mttkrp_coo(tensor, factors, mode))
-        assert not list((tmp_path / "store").glob("*.npz"))
-        assert len(events.of_kind(STORE_SKIPPED)) == tensor.ndim
-        assert cache.store.write_errors == tensor.ndim

@@ -111,6 +111,30 @@ class TestRetries:
             )
         assert tel.metrics.summary()["counters"]["resilience.retries"] == 1
 
+    def test_mismatched_warm_start_raises_before_any_retry(self):
+        """A warm start that does not fit the tensor is the caller's error:
+        it used to be retried 6 times and degraded once before surfacing
+        wrapped in ResilienceError; now the ValueError raises at once."""
+        t = random_sparse((10, 8, 6), nnz=120, seed=1)
+        bad = [np.ones((3, 2))] * 3
+        sleeps = []
+        with telemetry_session() as tel:
+            with pytest.raises(ValueError, match="warm-start factor 0"):
+                supervised_cstf(
+                    t, rank=2, init_factors=bad, engine={"shards": 2},
+                    sleep=sleeps.append,
+                )
+        assert sleeps == []
+        assert "resilience.retries" not in tel.metrics.summary()["counters"]
+        sup = RunSupervisor(
+            CstfConfig(rank=2, init_factors=bad, engine={"shards": 2}),
+            sleep=sleeps.append,
+        )
+        with pytest.raises(ValueError, match="warm-start factor 0"):
+            sup.run(t)
+        assert (sup.retries, sup.degradations, sleeps) == (0, 0, [])
+        assert not sup.events.of_kind("run_retry")
+
     def test_exhausted_retries_raise_with_history(self, tensor, patch_cstf):
         patch_cstf(_Flaky(failures=99))
         sup = RunSupervisor(

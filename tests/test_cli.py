@@ -291,18 +291,6 @@ class TestWatchVerb:
         assert code == 0
         assert "finished" in text
 
-    def test_plan_store_bytes_flag(self, tmp_path):
-        from repro.cli import _engine_setting
-
-        args = build_parser().parse_args(
-            ["factorize", "x.tns", "--rank", "2",
-             "--plan-store", str(tmp_path / "plans"),
-             "--plan-store-bytes", "4096"]
-        )
-        setting = _engine_setting(args)
-        assert setting["plan_store"] == str(tmp_path / "plans")
-        assert setting["plan_store_bytes"] == 4096
-
 
 class TestTrace:
     def test_factorize_with_trace(self, tmp_path):
