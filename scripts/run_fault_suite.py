@@ -17,7 +17,8 @@ failure reproduces locally from the same command:
 plus a supervised chaos run on the ``processes`` execution backend that
 SIGKILLs a worker mid-MTTKRP *and* corrupts the cached plans, asserting
 bit-identical convergence with ``worker_lost`` events, a nonzero
-``engine.plan.repairs`` count and a schema-valid trace. The chaos run
+``engine.plan.repairs`` count matched by as many ``plan_repaired`` events,
+and a schema-valid trace. The chaos run
 executes **twice** — once per shard transport (``shm="on"`` zero-copy shared
 memory, ``shm="off"`` pipe pickling) — and each trace is checked with
 ``--require-worker-spans`` (trace completeness: every executed shard must
@@ -195,8 +196,9 @@ print("chaos OK: faults=%d, recoveries=%s" % (
 # Process-backend chaos gate: a supervised run on isolated worker
 # processes, with a real SIGKILL landing mid-MTTKRP and the cached plans
 # corrupted under the run. The watchdog must detect the dead worker
-# (worker_lost), the plan cache must evict and replan the damaged plans
-# (engine.plan.repairs), and the factors must still match the
+# (worker_lost), the driver must evict and replan the damaged plans with
+# every repair both counted (engine.plan.repairs) and logged
+# (plan_repaired), and the factors must still match the
 # serial-backend run bit for bit. Trace stays schema-valid and complete —
 # every shard span keeps a worker-attributed kernel span (checked by the
 # caller).
@@ -252,6 +254,10 @@ assert "worker_lost" in kinds, (
 repairs = counters.get("engine.plan.repairs", 0)
 assert repairs > 0, (
     f"no engine.plan.repairs despite corrupt_plan faults (saw {sorted(kinds)})"
+)
+logged = sum(e.kind == "plan_repaired" for e in chaos.events)
+assert logged == repairs, (
+    f"{repairs} engine.plan.repairs but {logged} plan_repaired events"
 )
 shutdown_backends()
 print("process chaos OK (shm=%s): faults=%d, plan repairs=%d, kinds=%s" % (

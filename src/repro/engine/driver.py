@@ -25,12 +25,14 @@ Sharding applies to the ``coo`` and ``alto`` plan paths.
 
 Robustness: a format conversion or plan build that fails raises
 :class:`PlanBuildError`, which the run supervisor treats as a trigger for
-the COO format fallback. A failure *during execution* of cached state
-(e.g. a corrupted plan that dodged the integrity probe) triggers a
-replan-once recovery: the tensor's cache entry is invalidated, the repair
-is counted (``engine.plan.repairs``) and logged (``plan_repaired``), and
-the call re-dispatches from fresh plans; only a second failure propagates.
-The ``corrupt_plan`` chaos fault (:class:`~repro.resilience.faults
+the COO format fallback. A failure *during execution* of cached state (a
+plan that fails the integrity probe :func:`~repro.engine.execute.run_plan`
+runs before dispatch, or one whose damage the probe misses and execution
+trips over) triggers the one repair path, a replan-once recovery: the
+tensor's cache entry is invalidated, the repair is counted
+(``engine.plan.repairs``) and logged (``plan_repaired``), and the call
+re-dispatches from fresh plans; only a second failure propagates. The
+``corrupt_plan`` chaos fault (:class:`~repro.resilience.faults
 .FaultInjector`) deliberately corrupts the cached plans before lookup to
 prove this self-heal fires.
 
@@ -192,11 +194,11 @@ def engine_mttkrp(
         except PlanBuildError:
             raise
         except Exception as exc:
-            # Replan-once self-heal: cached state that passed (or dodged) the
-            # integrity probe still blew up in execution — e.g. an
-            # out-of-range coordinate from a corrupted plan. Evict everything
-            # cached for this tensor and re-dispatch from fresh plans; a
-            # second failure is a genuine bug and propagates.
+            # Replan-once self-heal: cached state failed the integrity probe
+            # or blew up in execution — e.g. an out-of-range coordinate from
+            # a corrupted plan. Evict everything cached for this tensor and
+            # re-dispatch from fresh plans; a second failure is a genuine
+            # bug and propagates.
             cache.invalidate(tensor)
             cache.record_repair(
                 f"execution over cached {fmt} plans failed "

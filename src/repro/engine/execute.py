@@ -71,7 +71,15 @@ def run_plan(
     plan, fmats, mode: int, out_rows: int, rank: int, cfg, *,
     faults=None, events=None,
 ) -> np.ndarray:
-    """Execute a cached plan: serial chunked, or sharded with a tree reduce."""
+    """Execute a cached plan: serial chunked, or sharded with a tree reduce.
+
+    The plan's stream is probed first (:meth:`~repro.engine.plan
+    .SegmentStream.integrity_ok`); a corrupt one raises before any shard is
+    dispatched or any fault drawn, and the driver's replan-once recovery
+    rebuilds it.
+    """
+    if not plan.stream.integrity_ok():
+        raise RuntimeError(f"cached mode-{mode} plan failed its integrity probe")
     if cfg.shards > 1 and plan.stream.n_segments > 1:
         streams = plan.shard_streams(cfg.shards)
         if len(streams) > 1:

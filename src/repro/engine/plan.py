@@ -15,21 +15,22 @@ needs no argsort and no ``rows[order]`` gather — the two biggest per-call
 costs of :func:`repro.kernels.mttkrp_coo.segment_accumulate` — and chunked
 execution falls out naturally from the segment starts.
 
-:class:`PlanCache` keys entries by tensor identity with a content-hash
-fallback (an equal copy of a cached tensor adopts the existing plans), and
-guards against in-place mutation with a sampled fingerprint per lookup
-(shape, nnz and 16 sampled coordinates/values) plus a structural integrity
-probe of each cached stream. The sampled probe can miss an in-place edit
-of ``tensor.values`` or ``tensor.indices``; call
-``get_plan_cache().invalidate(tensor)`` after one. Hits and misses are
-counted through the ambient telemetry session as ``engine.plan.hits`` /
+:class:`PlanCache` keys entries by tensor identity and guards against
+in-place mutation with a sampled fingerprint per lookup (shape, nnz and 16
+sampled coordinates/values); a tensor whose fingerprint changed gets a
+fresh entry. The sampled probe can miss an in-place edit of
+``tensor.values`` or ``tensor.indices``; call
+``get_plan_cache().invalidate(tensor)`` after one. A corrupted cached
+stream is caught by :meth:`SegmentStream.integrity_ok` when
+:func:`~repro.engine.execute.run_plan` executes it, and repaired by the
+driver's replan-once recovery. Hits and misses are counted through the
+ambient telemetry session as ``engine.plan.hits`` /
 ``engine.plan.misses`` and ``engine.format.hits`` /
 ``engine.format.misses``.
 """
 
 from __future__ import annotations
 
-import hashlib
 from collections import OrderedDict
 
 import numpy as np
@@ -104,7 +105,7 @@ class SegmentStream:
         never decrease, and one output row per segment. A cached stream
         that fails this probe is corrupt (bit flip, buggy in-place
         mutation, injected ``corrupt_plan`` fault) and must be replanned,
-        not executed.
+        not executed: :func:`~repro.engine.execute.run_plan` raises on it.
         """
         nnz = self.values.shape[0]
         if any(c.shape[0] != nnz for c in self.cols):
@@ -187,10 +188,6 @@ class MttkrpPlan:
         stream = SegmentStream(cols, values_sorted, starts, st[starts])
         return cls(mode, int(shape[mode]), stream)
 
-    def integrity_ok(self) -> bool:
-        """Whether the cached stream still satisfies its invariants."""
-        return self.stream.integrity_ok()
-
     def shard_streams(self, n_shards: int) -> list[SegmentStream]:
         """Split the stream into *n_shards* per-worker streams.
 
@@ -244,11 +241,11 @@ class MttkrpPlan:
 class _Entry:
     __slots__ = ("tensor", "probe", "plans", "formats")
 
-    def __init__(self, tensor, probe, plans=None, formats=None):
+    def __init__(self, tensor, probe):
         self.tensor = tensor
         self.probe = probe
-        self.plans = plans if plans is not None else {}
-        self.formats = formats if formats is not None else {}
+        self.plans = {}
+        self.formats = {}
 
 
 def _probe(tensor) -> tuple:
@@ -265,33 +262,26 @@ def _probe(tensor) -> tuple:
     )
 
 
-def _content_hash(tensor) -> str:
-    h = hashlib.sha1()
-    h.update(repr(tuple(tensor.shape)).encode())
-    h.update(np.ascontiguousarray(tensor.indices).tobytes())
-    h.update(np.ascontiguousarray(tensor.values).tobytes())
-    return h.hexdigest()
-
-
 class PlanCache:
     """LRU cache of per-tensor plans and format conversions.
 
-    Entries hold a strong reference to their tensor (identity keys must
-    stay stable), so the cache pins at most ``max_tensors`` tensors plus
-    their plans; evicted or invalidated entries release everything.
+    Entries are keyed by ``id(tensor)`` and hold a strong reference to
+    their tensor, so the id stays unique while the entry lives; the cache
+    pins at most ``max_tensors`` tensors plus their plans, and evicted or
+    invalidated entries release everything. An equal copy of a cached
+    tensor is a different object and gets its own entry.
     """
 
     def __init__(self, max_tensors: int = 16):
         self.max_tensors = int(max_tensors)
         self._entries: "OrderedDict[int, _Entry]" = OrderedDict()
-        self._by_content: dict[str, int] = {}
         self.hits = 0
         self.misses = 0
         self.format_hits = 0
         self.format_misses = 0
         self.repairs = 0
-        """Self-heal count: corrupted or stale cached state that was
-        evicted and replanned instead of raising (mirrored to the
+        """Self-heal count: executions over corrupted cached plans that
+        were evicted and replanned instead of raising (mirrored to the
         ``engine.plan.repairs`` telemetry counter)."""
 
     def record_repair(self, detail: str) -> None:
@@ -314,30 +304,16 @@ class PlanCache:
         (used by the ALTO path, which plans over the decoded linearized
         order rather than the canonical COO order).
         """
-        entry = self._entry(tensor)
-        key = (fmt, int(mode))
-        plan = entry.plans.get(key)
-        tel = current_telemetry()
-        if plan is not None and not plan.integrity_ok():
-            # Self-heal: a corrupted cached plan is evicted and replanned
-            # instead of feeding garbage offsets into the execution layer.
-            entry.plans.pop(key, None)
-            plan = None
-            self.record_repair(f"plan {fmt}/mode{mode} failed its integrity probe")
-        if plan is None:
-            self.misses += 1
-            tel.counter("engine.plan.misses")
-            plan = MttkrpPlan.from_arrays(
+        return self._lookup(
+            tensor,
+            (fmt, int(mode)),
+            lambda: MttkrpPlan.from_arrays(
                 tensor.indices if indices is None else indices,
                 tensor.values if values is None else values,
                 tensor.shape,
                 mode,
-            )
-            entry.plans[key] = plan
-        else:
-            self.hits += 1
-            tel.counter("engine.plan.hits")
-        return plan
+            ),
+        )
 
     def block_plans(
         self, tensor, blocked, mode: int, *, fmt: str = "blco"
@@ -348,25 +324,24 @@ class PlanCache:
         ``(f"{fmt}_blocks", mode)`` and built in the format's block order,
         which the serial per-block execution preserves bit for bit.
         """
+        return self._lookup(
+            tensor,
+            (f"{fmt}_blocks", int(mode)),
+            lambda: self._build_block_plans(blocked, mode, fmt),
+        )
+
+    def _lookup(self, tensor, key, build):
+        """The plan memo behind :meth:`plan` and :meth:`block_plans`."""
         entry = self._entry(tensor)
-        key = (f"{fmt}_blocks", int(mode))
-        plans = entry.plans.get(key)
-        tel = current_telemetry()
-        if plans is not None and not all(
-            p.integrity_ok() for p in plans
-        ):
-            entry.plans.pop(key, None)
-            plans = None
-            self.record_repair(f"block plans {fmt}/mode{mode} failed the integrity probe")
-        if plans is None:
+        plan = entry.plans.get(key)
+        if plan is None:
             self.misses += 1
-            tel.counter("engine.plan.misses")
-            plans = self._build_block_plans(blocked, mode, fmt)
-            entry.plans[key] = plans
+            current_telemetry().counter("engine.plan.misses")
+            plan = entry.plans[key] = build()
         else:
             self.hits += 1
-            tel.counter("engine.plan.hits")
-        return plans
+            current_telemetry().counter("engine.plan.hits")
+        return plan
 
     @staticmethod
     def _build_block_plans(blocked, mode: int, fmt: str) -> list:
@@ -417,60 +392,38 @@ class PlanCache:
     # ------------------------------------------------------------------ #
     def _entry(self, tensor) -> _Entry:
         key = id(tensor)
+        probe = _probe(tensor)
         entry = self._entries.get(key)
-        if entry is not None and entry.tensor is tensor:
-            if entry.probe == _probe(tensor):
-                self._entries.move_to_end(key)
-                return entry
-            # Stale: the tensor mutated under the cache. Evict-and-replan
-            # (counted as a repair) rather than serving poisoned plans.
-            self._evict(key)
-            self.record_repair("tensor fingerprint mismatch; entry evicted")
-        elif entry is not None:
-            self._evict(key)  # id reuse by a different object
-
-        # Content fallback: an equal copy adopts the existing entry's plans.
-        content = _content_hash(tensor)
-        twin_key = self._by_content.get(content)
-        if twin_key is not None and twin_key in self._entries:
-            twin = self._entries[twin_key]
-            entry = _Entry(tensor, _probe(tensor), twin.plans, twin.formats)
-        else:
-            entry = _Entry(tensor, _probe(tensor))
-            self._by_content[content] = key
-        self._entries[key] = entry
-        while len(self._entries) > self.max_tensors:
-            old_key, _ = self._entries.popitem(last=False)
-            self._drop_content_key(old_key)
+        if entry is not None and entry.probe == probe:
+            self._entries.move_to_end(key)
+            return entry
+        # A new tensor, or one edited in place since its plans were built:
+        # either way its plans are built afresh.
+        self._entries.pop(key, None)
+        entry = self._entries[key] = _Entry(tensor, probe)
+        if len(self._entries) > self.max_tensors:
+            self._entries.popitem(last=False)
         current_telemetry().gauge("engine.plan.tensors", float(len(self._entries)))
         return entry
-
-    def _drop_content_key(self, key: int) -> None:
-        for content, mapped in list(self._by_content.items()):
-            if mapped == key:
-                del self._by_content[content]
-
-    def _evict(self, key: int) -> None:
-        self._entries.pop(key, None)
-        self._drop_content_key(key)
 
     # ------------------------------------------------------------------ #
     def invalidate(self, tensor) -> None:
         """Drop every cached plan/format of *tensor* (after mutating it)."""
-        self._evict(id(tensor))
+        self._entries.pop(id(tensor), None)
 
     def corrupt(self, tensor, how: str = "bounds") -> int:
         """Deliberately corrupt *tensor*'s cached plans (chaos testing).
 
-        ``how="bounds"`` breaks each stream's segment-bound invariant —
-        detectable by the integrity probe, so the next lookup self-heals.
-        ``how="cols"`` poisons a coordinate with an out-of-range index —
-        *not* probe-detectable; execution raises and the driver's
-        replan-once recovery fires instead. Returns the number of plans
-        corrupted (0 when the tensor has no cached entry).
+        ``how="bounds"`` breaks each stream's segment-bound invariant, which
+        the integrity probe in :func:`~repro.engine.execute.run_plan`
+        catches before execution. ``how="cols"`` poisons a coordinate with
+        an out-of-range index, which the probe misses and execution raises
+        on. Either way the driver's replan-once recovery repairs the entry.
+        Returns the number of plans corrupted (0 when the tensor has no
+        cached entry).
         """
         entry = self._entries.get(id(tensor))
-        if entry is None or entry.tensor is not tensor:
+        if entry is None:
             return 0
         corrupted = 0
         for plan in entry.plans.values():
@@ -487,7 +440,6 @@ class PlanCache:
 
     def clear(self) -> None:
         self._entries.clear()
-        self._by_content.clear()
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -34,7 +34,9 @@ it lands:
 ``corrupt_plan``
     Drawn by :meth:`FaultInjector.fires` in ``engine_mttkrp``
     (``engine/driver.py``) before the plan lookup; ``PlanCache.corrupt``
-    damages the cached plans, which the cache detects, evicts and replans.
+    damages the cached plans, the integrity probe in ``run_plan`` rejects
+    them before execution, and the driver's replan-once recovery evicts,
+    replans and logs ``plan_repaired``.
 ``disk_full``
     One draw per persistence target, each a synthetic ENOSPC the run
     survives: ``target="checkpoint"`` in ``cstf``'s checkpoint writer

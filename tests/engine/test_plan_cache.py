@@ -1,4 +1,4 @@
-"""The per-tensor plan cache: keys, hits, invalidation, LRU, twin adoption."""
+"""The per-tensor plan cache: identity keys, hits, invalidation, LRU."""
 
 import dataclasses
 
@@ -78,15 +78,21 @@ class TestPlanCacheLookups:
         fresh = cache.plan(tensor, 0)
         assert fresh is not stale
         assert np.array_equal(np.sort(fresh.stream.values), np.sort(tensor.values))
+        assert cache.repairs == 0  # a user edit is rebuilt, not repaired
 
-    def test_content_twin_adopts_existing_plans(self, tensor):
+    def test_equal_copy_gets_its_own_entry(self, tensor):
         cache = PlanCache()
         plan = cache.plan(tensor, 1)
-        twin = SparseTensor(
+        copy = SparseTensor(
             tensor.indices.copy(), tensor.values.copy(), tensor.shape
         )
-        assert cache.plan(twin, 1) is plan
-        assert cache.hits == 1 and len(cache) == 2
+        copy_plan = cache.plan(copy, 1)
+        assert copy_plan is not plan
+        assert len(cache) == 2 and cache.misses == 2
+        for a, b in zip(plan.stream.cols, copy_plan.stream.cols):
+            assert np.array_equal(a, b)
+        assert np.array_equal(plan.stream.values, copy_plan.stream.values)
+        assert np.array_equal(plan.stream.bounds, copy_plan.stream.bounds)
 
     def test_lru_evicts_oldest_tensor(self):
         cache = PlanCache(max_tensors=2)

@@ -232,6 +232,7 @@ class TestCorruptPlanSelfHeal:
         assert np.array_equal(ref, got)
         assert cache.repairs == 1
         assert len(events.of_kind("fault_injected")) == 1
+        assert len(events.of_kind("plan_repaired")) == 1
 
     def test_probe_invisible_corruption_heals_via_replan_once(self, tensor, factors):
         """An out-of-range coordinate passes the structural probe but blows
@@ -352,6 +353,9 @@ class TestChaosDeterminism:
             shutdown_backends()
         plan = "corrupted a cached plan before lookup"
         shm = "exhausted /dev/shm for the next segment lease"
+        # One repair: the replan after the mode-0 injection evicts the whole
+        # entry, so modes 1 and 2 build fresh plans, and the later
+        # injections corrupt only plans this run never executes again.
         assert [
             (e.kind, e.mode, e.iteration, e.data.get("target"),
              e.detail if e.kind == "fault_injected" else None)
@@ -363,6 +367,7 @@ class TestChaosDeterminism:
              "injected ENOSPC on the next checkpoint write"),
             ("checkpoint_skipped", None, 1, None, None),
             ("fault_injected", 0, None, None, plan),
+            ("plan_repaired", 0, None, None, None),
             ("fault_injected", 1, None, None, plan),
             ("fault_injected", 1, None, None, shm),
             ("transport_downgraded", 1, None, None, None),
@@ -373,7 +378,9 @@ class TestChaosDeterminism:
              "injected ENOSPC on the next checkpoint write"),
             ("checkpoint_skipped", None, 2, None, None),
         ]
-        assert res.telemetry.metrics_summary["counters"]["obs.sink.dropped"] > 0
+        counters = res.telemetry.metrics_summary["counters"]
+        assert counters["engine.plan.repairs"] == 1
+        assert counters["obs.sink.dropped"] > 0
 
     def test_injected_crash_exception_type(self):
         with pytest.raises(InjectedWorkerCrash):
