@@ -18,7 +18,9 @@ plus a supervised chaos run on the ``processes`` execution backend that
 SIGKILLs a worker mid-MTTKRP *and* corrupts the cached plans, asserting
 bit-identical convergence with ``worker_lost`` events, a nonzero
 ``engine.plan.repairs`` count matched by as many ``plan_repaired`` events,
-and a schema-valid trace. The chaos run
+more ``engine.proc.streams_shipped`` than the ``ndim x shards`` of a clean
+run (respawned workers were sent their shard streams again), and a
+schema-valid trace. The chaos run
 executes **twice** — once per shard transport (``shm="on"`` zero-copy shared
 memory, ``shm="off"`` pipe pickling) — and each trace is checked with
 ``--require-worker-spans`` (trace completeness: every executed shard must
@@ -33,7 +35,7 @@ excluded from tier-1) plus a supervised chaos run that injects
 ``disk_full`` (synthetic ENOSPC on checkpoint/sink writes) and
 ``shm_exhausted`` (refused /dev/shm leases) under a deliberately tiny
 memory budget, asserting bit-identical convergence, pressure-degradation
-events, a clean run with zero pressure events, and no leaked /dev/shm
+events, shard streams shipped again to recycled workers, a clean run with zero pressure events, and no leaked /dev/shm
 segments; each trace is checked with ``--require-pressure-events``. The
 stage runs twice, once per shard transport (``shm on``/``off``).
 ``--stage resource`` runs only that stage.
@@ -259,6 +261,13 @@ logged = sum(e.kind == "plan_repaired" for e in chaos.events)
 assert logged == repairs, (
     f"{repairs} engine.plan.repairs but {logged} plan_repaired events"
 )
+# Shard streams stay resident in the workers: a clean run ships each one
+# once (ndim x shards); a respawned worker starts empty and is sent its
+# streams again.
+shipped = counters.get("engine.proc.streams_shipped", 0)
+assert shipped > X.ndim * 3, (
+    f"workers were lost but only {shipped} shard streams were shipped"
+)
 shutdown_backends()
 print("process chaos OK (shm=%s): faults=%d, plan repairs=%d, kinds=%s" % (
     SHM_MODE, injector.injected, repairs,
@@ -326,6 +335,12 @@ assert np.array_equal(serial.kruskal.weights, chaos.kruskal.weights), (
 kinds = {e.kind for e in chaos.events}
 assert "worker_recycled" in kinds, (
     f"no worker_recycled event despite a 8 MB budget (saw {sorted(kinds)})"
+)
+# A recycled worker starts empty and is sent its shard streams again.
+counters = chaos.telemetry.metrics_summary.get("counters", {})
+shipped = counters.get("engine.proc.streams_shipped", 0)
+assert shipped > X.ndim * 3, (
+    f"workers were recycled but only {shipped} shard streams were shipped"
 )
 assert "checkpoint_skipped" in kinds, (
     f"no persistence skips despite disk_full faults (saw {sorted(kinds)})"

@@ -25,8 +25,17 @@ runs around each outstanding shard:
 - **memory pressure** — a healthy worker whose peak RSS breached
   ``EngineConfig.memory_budget_bytes`` is recycled at the shard boundary.
 
-Task shipping: the parent's in-memory plan cache is invisible to workers,
-so every task carries its shard stream inline (pickled over the pipe).
+Shard streams stay resident in the workers. A shard is a segment range
+of a cached plan's stream, named by its key ``(plan token, a, c)``
+(:meth:`~repro.engine.plan.MttkrpPlan.shard_streams`). A task carries the
+key, and the stream itself (pickled over the pipe) only when the worker
+does not hold that key for the task's mode yet; each ship is counted as
+``engine.proc.streams_shipped``. A worker keeps one stream per mode and
+replaces it when a new key arrives. The parent tracks what each worker
+holds on its :class:`_Worker`, so a respawned, recycled or fork-refreshed
+worker starts empty and is sent its streams again, and after a worker
+raised the parent forgets what it holds for that mode. A worker sent a
+key it does not hold raises, and the serial redo covers the shard.
 
 Factor matrices and accumulators travel over one of two transports:
 
@@ -125,10 +134,28 @@ def _attach_shm_task(shm_desc: dict, attached: list, last_gen: int):
     return fmats, out, gen
 
 
+def _resident_stream(task: dict, resident: dict):
+    """Worker-side: the task's shard stream, kept resident by mode."""
+    mode, key, stream = task["mode"], task["key"], task.get("stream")
+    if stream is not None:
+        resident[mode] = (key, stream)
+        return stream
+    held = resident.get(mode)
+    if held is None or held[0] != key:
+        raise LookupError(
+            f"worker holds no mode-{mode} shard stream {key} "
+            f"(holds {held[0] if held else None})"
+        )
+    return held[1]
+
+
 def _worker_main(conn, worker_id: int) -> None:
     """Worker loop: receive task dicts, answer ``("ok", partial, batch)``.
 
-    Runs until the parent sends ``None`` or closes the pipe. Exceptions
+    Runs until the parent sends ``None`` or closes the pipe. A task's
+    ``stream`` is kept as this worker's resident stream for its mode under
+    the task's ``key``; a task without one runs the resident stream,
+    which must hold that key. Exceptions
     are answered as ``("error", message, batch)`` and do not kill the
     worker; an injected ``kill`` task dies by real ``SIGKILL`` before any
     reply, which is exactly the silence the parent's watchdog must detect.
@@ -149,6 +176,7 @@ def _worker_main(conn, worker_id: int) -> None:
     session = WorkerTelemetrySession(worker_id=worker_id)
     session.push()
     last_gen = 0
+    resident: dict[int, tuple] = {}  # mode -> (shard key, stream)
     while True:
         try:
             task = conn.recv()
@@ -167,7 +195,7 @@ def _worker_main(conn, worker_id: int) -> None:
                 task.get("faults", frozenset()), task.get("delay", 0.0),
                 task["mode"], can_kill=True,
             )
-            stream = task["stream"]
+            stream = _resident_stream(task, resident)
             shm_desc = task.get("shm")
             attached: list = []
             try:
@@ -216,9 +244,10 @@ def _worker_main(conn, worker_id: int) -> None:
 
 
 class _Worker:
-    """One pool slot: a process plus its private task/result pipe."""
+    """One pool slot: a process, its private task/result pipe, and the
+    shard key it holds per mode (``held``; a fresh worker holds none)."""
 
-    __slots__ = ("proc", "conn")
+    __slots__ = ("proc", "conn", "held")
 
     def __init__(self, ctx, index: int):
         parent_conn, child_conn = ctx.Pipe(duplex=True)
@@ -231,6 +260,7 @@ class _Worker:
         self.proc.start()
         child_conn.close()
         self.conn = parent_conn
+        self.held: dict[int, tuple] = {}
 
     def alive(self) -> bool:
         return self.proc.is_alive()
@@ -454,12 +484,15 @@ class ProcessBackend(ExecutionBackend):
     def _send(self, job, i: int, shm_base) -> bool:
         """Deliver shard *i*'s task; whether it is in flight. A failed
         delivery is collected as a lost worker."""
+        stream, worker = job.streams[i], job.workers[i]
         task = {
             "mode": job.mode, "out_rows": job.out_rows, "rank": job.rank,
             "chunk": job.cfg.chunk, "shard": i, "telemetry": job.capture,
-            "faults": job.faults[i], "delay": job.delay,
-            "stream": job.streams[i],
+            "faults": job.faults[i], "delay": job.delay, "key": stream.key,
         }
+        ship = worker.held.get(job.mode) != stream.key
+        if ship:
+            task["stream"] = stream
         if shm_base is not None:
             task["shm"] = dict(shm_base, out={
                 "name": job.leases[i].name, "shape": (job.out_rows, job.rank),
@@ -467,10 +500,13 @@ class ProcessBackend(ExecutionBackend):
         else:
             task["fmats"] = job.fmats
         try:
-            job.workers[i].conn.send(task)
-            return True
+            worker.conn.send(task)
         except (OSError, ValueError):
             return False
+        if ship:
+            current_telemetry().counter("engine.proc.streams_shipped")
+            worker.held[job.mode] = stream.key
+        return True
 
     def _wait(self, job, i, deadline):
         """Watchdog loop for one outstanding shard result.
@@ -498,7 +534,9 @@ class ProcessBackend(ExecutionBackend):
                     if status == "ok":
                         view = job.views[i]
                         return OK, payload if view is None else view, [batch]
-                    # In-worker exception: the worker survives.
+                    # In-worker exception: the worker survives, but may
+                    # have raised before it kept the shard's stream.
+                    worker.held.pop(job.mode, None)
                     if payload.startswith("ShmAttachError"):
                         tel.counter("engine.shm.attach_failures")
                     self._discard(job, i)

@@ -36,11 +36,13 @@ class EngineConfig:
         (one chunk spanning all nonzeros).
     shards:
         Worker shards for the parallel execution path (``1`` = serial).
-        Shards own whole segments (LPT greedy over segment sizes via
-        :func:`repro.kernels.partition.greedy_assign`), accumulate into
-        private outputs, and are tree-reduced — the CPU analogue of the
-        paper's privatized GPU reductions. Because segment row sets are
-        disjoint, sharded results equal serial results bitwise.
+        A shard is a contiguous range of whole segments of the plan's one
+        stream, cut at the segment boundaries nearest ``k·nnz/shards``
+        (:meth:`~repro.engine.plan.MttkrpPlan.shard_streams`; views, no
+        copy). Shards accumulate into private outputs that are
+        tree-reduced — the CPU analogue of the paper's privatized GPU
+        reductions. Because segment row sets are disjoint, sharded
+        results equal serial results bitwise.
     shard_timeout:
         Per-shard wall-clock budget in seconds for the sharded path
         (``0.0`` disables timeout detection). Each shard's deadline is

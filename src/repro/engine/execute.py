@@ -53,16 +53,17 @@ def run_stream(stream, fmats, mode: int, out: np.ndarray, chunk: int) -> np.ndar
         return out
     others = [m for m in range(len(stream.cols)) if m != mode]
     m0 = others[0]
-    cols, values = stream.cols, stream.values
+    cols, values, base = stream.cols, stream.values, stream.base
     starts, bounds, out_index = stream.starts, stream.bounds, stream.out_index
     edges = stream.chunk_edges(chunk)
     for i in range(edges.shape[0] - 1):
         a, b = int(edges[i]), int(edges[i + 1])
-        lo, hi = int(bounds[a]), int(bounds[b])
-        acc = values[lo:hi, None] * fmats[m0][cols[m0][lo:hi]]
+        first = int(bounds[a])
+        lo, hi = first - base, int(bounds[b]) - base
+        acc = values[lo:hi, None] * np.take(fmats[m0], cols[m0][lo:hi], axis=0)
         for m in others[1:]:
-            acc *= fmats[m][cols[m][lo:hi]]
-        sums = np.add.reduceat(acc, starts[a:b] - lo, axis=0)
+            acc *= np.take(fmats[m], cols[m][lo:hi], axis=0)
+        sums = np.add.reduceat(acc, starts[a:b] - first, axis=0)
         out[out_index[a:b]] = sums
     return out
 

@@ -15,6 +15,11 @@ needs no argsort and no ``rows[order]`` gather — the two biggest per-call
 costs of :func:`repro.kernels.mttkrp_coo.segment_accumulate` — and chunked
 execution falls out naturally from the segment starts.
 
+A plan holds one stream. Sharded execution splits it into contiguous
+segment ranges (:meth:`MttkrpPlan.shard_streams`) whose arrays are views
+of that stream, so shards copy no nonzero, cost no plan memory, and share
+whatever happens to the stream (a corruption included).
+
 :class:`PlanCache` keys entries by tensor identity and guards against
 in-place mutation with a sampled fingerprint per lookup (shape, nnz and 16
 sampled coordinates/values); a tensor whose fingerprint changed gets a
@@ -31,11 +36,11 @@ ambient telemetry session as ``engine.plan.hits`` /
 
 from __future__ import annotations
 
+import itertools
 from collections import OrderedDict
 
 import numpy as np
 
-from repro.kernels.partition import greedy_assign
 from repro.obs import current_telemetry
 
 __all__ = ["SegmentStream", "MttkrpPlan", "PlanCache", "get_plan_cache"]
@@ -59,19 +64,33 @@ class SegmentStream:
     ``cols[m]`` are the mode-*m* coordinates in target-major order,
     ``values`` the matching nonzero values. ``starts`` marks the first
     position of each equal-target segment; ``bounds`` is ``starts`` with
-    the total length appended, so segment *s* spans
-    ``values[bounds[s]:bounds[s+1]]`` and accumulates into output row
-    ``out_index[s]``.
+    the end appended, so segment *s* spans
+    ``values[bounds[s] - base:bounds[s+1] - base]`` and accumulates into
+    output row ``out_index[s]``.
+
+    ``base`` is the stream's offset into the nonzero stream its
+    ``starts``/``bounds`` count in: 0 for a plan's whole stream, and the
+    first nonzero of the range for a shard (:meth:`MttkrpPlan.shard_streams`),
+    whose arrays are all views of the plan's. ``key`` names the stream's
+    segment range ``[a, c)`` within its plan: ``(plan token, a, c)``.
     """
 
-    __slots__ = ("cols", "values", "starts", "bounds", "out_index", "_edges")
+    __slots__ = (
+        "cols", "values", "starts", "bounds", "out_index", "base", "key",
+        "_edges",
+    )
 
-    def __init__(self, cols, values, starts, out_index):
+    def __init__(self, cols, values, starts, out_index, *, bounds=None,
+                 base: int = 0, key=None):
         self.cols = tuple(cols)
         self.values = values
         self.starts = starts
-        self.bounds = np.append(starts, values.shape[0])
+        if bounds is None:
+            bounds = np.append(starts, base + values.shape[0])
+        self.bounds = bounds
         self.out_index = out_index
+        self.base = int(base)
+        self.key = key
         self._edges: dict[int, np.ndarray] = {}
 
     @property
@@ -101,11 +120,12 @@ class SegmentStream:
         """Cheap structural self-check of the cached stream.
 
         Verifies the invariants execution relies on: one coordinate entry
-        per nonzero, segment bounds that start at 0, end at ``nnz``, and
-        never decrease, and one output row per segment. A cached stream
-        that fails this probe is corrupt (bit flip, buggy in-place
-        mutation, injected ``corrupt_plan`` fault) and must be replanned,
-        not executed: :func:`~repro.engine.execute.run_plan` raises on it.
+        per nonzero, segment bounds that start at ``base``, end at
+        ``base + nnz``, and never decrease, and one output row per
+        segment. A cached stream that fails this probe is corrupt (bit
+        flip, buggy in-place mutation, injected ``corrupt_plan`` fault)
+        and must be replanned, not executed:
+        :func:`~repro.engine.execute.run_plan` raises on it.
         """
         nnz = self.values.shape[0]
         if any(c.shape[0] != nnz for c in self.cols):
@@ -117,8 +137,8 @@ class SegmentStream:
         if nnz == 0:
             return True
         return bool(
-            self.bounds[0] == 0
-            and self.bounds[-1] == nnz
+            self.bounds[0] == self.base
+            and self.bounds[-1] == self.base + nnz
             and np.all(np.diff(self.bounds) > 0)
         )
 
@@ -152,14 +172,23 @@ def _chunk_edges(bounds: np.ndarray, chunk: int) -> np.ndarray:
 
 
 class MttkrpPlan:
-    """The cached preprocessing for one ``(tensor, format, mode)`` MTTKRP."""
+    """The cached preprocessing for one ``(tensor, format, mode)`` MTTKRP.
 
-    __slots__ = ("mode", "out_rows", "stream", "_shards")
+    ``token`` is unique among every plan this process builds, across all
+    caches, because one process-wide worker pool serves them all. It is a
+    counter, never ``id()``: a replan may reuse a freed plan's address. So
+    a shard key ``(token, a, c)`` names one segment range of one plan for
+    good.
+    """
+
+    __slots__ = ("mode", "out_rows", "stream", "token", "_shards")
 
     def __init__(self, mode: int, out_rows: int, stream: SegmentStream):
         self.mode = mode
         self.out_rows = out_rows
         self.stream = stream
+        self.token = next(_PLAN_TOKENS)
+        stream.key = (self.token, 0, stream.n_segments)
         self._shards: dict[int, list[SegmentStream]] = {}
 
     @classmethod
@@ -189,13 +218,16 @@ class MttkrpPlan:
         return cls(mode, int(shape[mode]), stream)
 
     def shard_streams(self, n_shards: int) -> list[SegmentStream]:
-        """Split the stream into *n_shards* per-worker streams.
+        """Split the stream into at most *n_shards* contiguous segment ranges.
 
-        Whole segments are LPT-greedily assigned to workers
-        (:func:`~repro.kernels.partition.greedy_assign` — deterministic by
-        construction), then each worker's nonzeros are gathered once into a
-        private contiguous stream. Workers own disjoint output rows, so
-        their private accumulators tree-reduce without write conflicts.
+        Shard *k* is the segment range ``(a, c)`` of the plan's one stream
+        cut at the segment boundaries nearest ``k·nnz/n_shards``, so no
+        segment is split and shards own disjoint output rows. Every array
+        of a shard is a view of the plan's (no nonzero is copied, and
+        sharding adds nothing to :attr:`nbytes`), and its ``key`` is
+        ``(token, a, c)``. Fewer segments than shards give fewer shards.
+        The view lists are memoized per shard count, which keeps their
+        chunk edges.
         """
         streams = self._shards.get(n_shards)
         if streams is not None:
@@ -204,28 +236,19 @@ class MttkrpPlan:
         if n_shards <= 1 or stream.n_segments <= 1:
             streams = [stream]
         else:
-            seg_sizes = np.diff(stream.bounds)
-            owner, _loads = greedy_assign(seg_sizes, n_shards)
+            cuts = _segment_cuts(stream.bounds, n_shards)
             streams = []
-            for w in range(n_shards):
-                segs = np.flatnonzero(owner == w)
-                if w > 0 and segs.size == 0:
-                    continue  # fewer segments than shards
-                sizes = seg_sizes[segs]
-                local_starts = np.concatenate(
-                    ([0], np.cumsum(sizes[:-1]))
-                ).astype(np.int64) if segs.size else np.zeros(0, dtype=np.int64)
-                total = int(sizes.sum())
-                sel = (
-                    np.repeat(stream.bounds[segs] - local_starts, sizes)
-                    + np.arange(total, dtype=np.int64)
-                )
+            for a, c in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+                lo, hi = int(stream.bounds[a]), int(stream.bounds[c])
                 streams.append(
                     SegmentStream(
-                        tuple(c[sel] for c in stream.cols),
-                        stream.values[sel],
-                        local_starts,
-                        stream.out_index[segs],
+                        tuple(col[lo:hi] for col in stream.cols),
+                        stream.values[lo:hi],
+                        stream.starts[a:c],
+                        stream.out_index[a:c],
+                        bounds=stream.bounds[a:c + 1],
+                        base=lo,
+                        key=(self.token, a, c),
                     )
                 )
         self._shards[n_shards] = streams
@@ -233,8 +256,28 @@ class MttkrpPlan:
 
     @property
     def nbytes(self) -> int:
-        shards = sum(s.nbytes for ss in self._shards.values() for s in ss)
-        return self.stream.nbytes + shards
+        return self.stream.nbytes
+
+
+_PLAN_TOKENS = itertools.count(1)
+
+
+def _segment_cuts(bounds: np.ndarray, n_shards: int) -> np.ndarray:
+    """Segment positions ``[0, ..., n_seg]`` cutting *bounds* into shards.
+
+    Cut *k* is the segment boundary nearest ``k·nnz/n_shards`` (the lower
+    one on a tie), clipped so every shard keeps at least one segment;
+    cuts that coincide merge their shards.
+    """
+    n_seg = bounds.shape[0] - 1
+    targets = np.arange(1, n_shards) * bounds[-1] / n_shards
+    above = np.searchsorted(bounds, targets)
+    below = above - 1
+    nearest = np.where(
+        targets - bounds[below] <= bounds[above] - targets, below, above
+    )
+    inner = np.unique(np.clip(nearest, 1, n_seg - 1))
+    return np.concatenate(([0], inner, [n_seg])).astype(np.int64)
 
 
 # --------------------------------------------------------------------- #
@@ -419,8 +462,13 @@ class PlanCache:
         catches before execution. ``how="cols"`` poisons a coordinate with
         an out-of-range index, which the probe misses and execution raises
         on. Either way the driver's replan-once recovery repairs the entry.
-        Returns the number of plans corrupted (0 when the tensor has no
-        cached entry).
+        Shard streams are views of the plan's stream, so they carry the
+        damage too. On the ``processes`` backend a worker runs its
+        resident copy of its shard stream, so a ``cols`` corruption made
+        after the first send is executed, and repaired, only if a serial
+        redo in the parent runs the damaged shard; a ``bounds`` corruption
+        is caught by the parent's probe before any dispatch. Returns the
+        number of plans corrupted (0 when the tensor has no cached entry).
         """
         entry = self._entries.get(id(tensor))
         if entry is None:

@@ -189,3 +189,63 @@ class TestPlanStructure:
             tensor.indices, tensor.values, tensor.shape, 0
         )
         assert plan.shard_streams(4) is plan.shard_streams(4)
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_shards_are_contiguous_segment_ranges(self, tensor, n):
+        plan = MttkrpPlan.from_arrays(
+            tensor.indices, tensor.values, tensor.shape, 1
+        )
+        stream = plan.stream
+        streams = plan.shard_streams(n)
+        assert len(streams) == n
+        ranges = [s.key[1:] for s in streams]
+        assert ranges[0][0] == 0 and ranges[-1][1] == stream.n_segments
+        assert all(c == a for (_, c), (a, _) in zip(ranges, ranges[1:]))
+        for s, (a, c) in zip(streams, ranges):
+            assert s.key[0] == plan.token
+            assert s.integrity_ok()
+            lo, hi = stream.bounds[a], stream.bounds[c]
+            assert s.base == lo and s.nnz == hi - lo
+            assert np.array_equal(s.values, stream.values[lo:hi])
+            assert np.array_equal(s.out_index, stream.out_index[a:c])
+        # Each cut is the segment boundary nearest k*nnz/n.
+        for k, (a, _) in enumerate(ranges[1:], start=1):
+            gaps = np.abs(stream.bounds[1:-1] - k * stream.nnz / n)
+            assert gaps[a - 1] == gaps.min()
+
+    def test_fewer_segments_than_shards(self):
+        t = SparseTensor(
+            np.array([[0, 0], [0, 1], [1, 0]]), np.ones(3), (2, 2)
+        )
+        plan = MttkrpPlan.from_arrays(t.indices, t.values, t.shape, 0)
+        streams = plan.shard_streams(4)
+        assert [s.nnz for s in streams] == [2, 1]
+
+    def test_plan_tokens_are_unique(self, tensor):
+        cache = PlanCache()
+        first = cache.plan(tensor, 0)
+        cache.invalidate(tensor)
+        again = cache.plan(tensor, 0)
+        assert first.token != again.token
+
+
+class TestShardMemory:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_sharding_adds_no_plan_bytes(self, tensor, n):
+        cache = PlanCache()
+        plan = cache.plan(tensor, 1)
+        plan_bytes, cache_bytes = plan.nbytes, cache.nbytes
+        streams = plan.shard_streams(n)
+        assert len(streams) == n
+        assert plan.nbytes == plan_bytes == plan.stream.nbytes
+        assert cache.nbytes == cache_bytes
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_shard_arrays_share_the_plan_stream(self, tensor, n):
+        plan = PlanCache().plan(tensor, 2)
+        stream = plan.stream
+        for s in plan.shard_streams(n):
+            for col, base_col in zip(s.cols, stream.cols):
+                assert np.shares_memory(col, base_col)
+            for name in ("values", "starts", "bounds", "out_index"):
+                assert np.shares_memory(getattr(s, name), getattr(stream, name))

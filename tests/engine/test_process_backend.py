@@ -166,7 +166,7 @@ class TestStragglerDeadlineAnchoring:
             pytest.skip("needs fork so workers inherit the patched kernel")
         shutdown_backends()
 
-        # Mode-0 rows with very different weights, so the two LPT shards
+        # Mode-0 rows with very different weights, so the two shards
         # have distinguishable nnz (the patched kernel keys its sleep on it).
         rng = np.random.default_rng(17)
         big = np.column_stack(

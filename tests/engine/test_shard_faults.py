@@ -260,6 +260,46 @@ class TestCorruptPlanSelfHeal:
     def test_corrupt_without_cached_entry_is_noop(self, tensor):
         assert PlanCache().corrupt(tensor) == 0
 
+    def test_sharded_cols_corruption_is_repaired_once(self, tensor, factors):
+        """Regression: shard streams used to be private copies that
+        ``corrupt`` never touched, so with ``shards > 1`` a ``cols``
+        corruption was never executed or repaired and stayed cached. The
+        shards are views of the plan's stream now and carry the damage."""
+        ref = mttkrp_coo(tensor, factors, 1)
+        cache = PlanCache()
+        cfg = EngineConfig(shards=2, backend="threads")
+        engine_mttkrp(tensor, factors, 1, "coo", cfg, cache)
+        assert cache.corrupt(tensor, how="cols") > 0
+        events = EventLog()
+        with telemetry_session() as tel:
+            got = engine_mttkrp(
+                tensor, factors, 1, "coo", cfg, cache, events=events
+            )
+        assert np.array_equal(ref, got)
+        assert tel.metrics.summary()["counters"]["engine.plan.repairs"] == 1
+        assert cache.repairs == 1
+        assert len(events.of_kind("plan_repaired")) == 1
+        streams = [
+            s for plan in cache._entries[id(tensor)].plans.values()
+            for s in [plan.stream, *plan.shard_streams(cfg.shards)]
+        ]
+        assert streams
+        assert all((c != 2**31).all() for s in streams for c in s.cols)
+
+    def test_sharded_bounds_corruption_replans_once(self, tensor, factors):
+        ref = mttkrp_coo(tensor, factors, 0)
+        cache = PlanCache()
+        cfg = EngineConfig(shards=2, backend="threads")
+        engine_mttkrp(tensor, factors, 0, "coo", cfg, cache)
+        cache.corrupt(tensor, how="bounds")
+        misses = cache.misses
+        events = EventLog()
+        got = engine_mttkrp(tensor, factors, 0, "coo", cfg, cache, events=events)
+        assert np.array_equal(ref, got)
+        assert cache.repairs == 1
+        assert len(events.of_kind("plan_repaired")) == 1
+        assert cache.misses == misses + 1  # exactly one fresh plan build
+
 
 class TestChaosDeterminism:
     def test_same_seed_same_campaign(self, tensor, factors):
