@@ -20,11 +20,10 @@ not silently fall back to pipes).
 
 ``--require-pressure-events`` adds the pressure-evidence gate for the
 resource chaos stage: the trace must contain at least one
-pressure-degradation event (``worker_recycled``/``transport_downgraded``/
-``checkpoint_skipped``) or, as a fallback for runs whose sink itself
-degraded, a nonzero pressure counter in the summary snapshot —
-proof that injected resource pressure actually exercised the degraded
-paths.
+pressure-degradation event (``transport_downgraded``/``checkpoint_skipped``)
+or, as a fallback for runs whose sink itself degraded, a nonzero pressure
+counter in the summary snapshot — proof that injected resource pressure
+actually exercised the degraded paths.
 
 Each file is read exactly once: the parsed records feed the schema check
 (which counts them), the completeness gate, and the Chrome-trace
@@ -99,7 +98,6 @@ def check_transport_attrs(records) -> list[str]:
 
 #: Resilience event kinds that prove pressure-triggered degradation ran.
 _PRESSURE_KINDS = (
-    "worker_recycled",
     "transport_downgraded",
     "checkpoint_skipped",
 )
@@ -107,7 +105,6 @@ _PRESSURE_KINDS = (
 #: Summary counters accepted as fallback evidence (a degraded sink drops
 #: event records, but the final metrics snapshot still carries the tally).
 _PRESSURE_COUNTERS = (
-    "engine.proc.workers_recycled",
     "engine.shm.downgrades",
     "resilience.checkpoint.skips",
     "obs.sink.dropped",
@@ -117,8 +114,8 @@ _PRESSURE_COUNTERS = (
 def check_pressure_events(records) -> list[str]:
     """The pressure-evidence gate: the trace must prove degradation fired.
 
-    A resource-pressure chaos run that shows no ``worker_recycled`` /
-    ``transport_downgraded`` / ``checkpoint_skipped`` event — and no
+    A resource-pressure chaos run that shows no ``transport_downgraded`` /
+    ``checkpoint_skipped`` event — and no
     pressure counter in the summary snapshot — means the injected pressure
     silently did nothing, which is exactly the failure this gate exists to
     catch.
@@ -196,8 +193,8 @@ def main(argv=None) -> int:
                              "(inline/threads/pipe/shm)")
     parser.add_argument("--require-pressure-events", action="store_true",
                         help="fail unless the trace shows pressure-triggered "
-                             "degradation: a worker_recycled/"
-                             "transport_downgraded/checkpoint_skipped "
+                             "degradation: a transport_downgraded/"
+                             "checkpoint_skipped "
                              "event, or a pressure counter in the summary "
                              "snapshot")
     args = parser.parse_args(argv)

@@ -74,13 +74,14 @@ def build_parser() -> argparse.ArgumentParser:
     fac.add_argument("--nnz", type=int, default=50_000,
                      help="target nonzeros for dataset analogues")
     fac.add_argument("--trace", default=None, metavar="PATH",
-                     help="write a Chrome trace of the simulated kernels")
+                     help="write a Chrome trace of the run: host spans, "
+                          "simulated kernels and resilience events")
     fac.add_argument("--telemetry", action="store_true",
                      help="collect run telemetry (spans + metrics) and print a summary")
     fac.add_argument("--max-retries", type=int, default=None, metavar="N",
                      help="supervise the run: retry up to N times per "
                           "degradation tier on a crash (enables the "
-                          "processes->sharded->chunked->serial->seed ladder)")
+                          "processes->sharded->serial ladder)")
     fac.add_argument("--deadline", type=float, default=None, metavar="SECONDS",
                      help="supervised wall-clock budget across all attempts "
                           "(0 or unset = no deadline; implies supervision)")
@@ -179,12 +180,6 @@ def _add_engine_args(p) -> None:
                         "--engine): auto (default; zero-copy shared-memory "
                         "segments where available, pipe fallback), on "
                         "(require shared memory), off (pickle over pipes)")
-    p.add_argument("--memory-budget", type=int, default=None, metavar="BYTES",
-                   help="resource-pressure memory budget in bytes (overrides "
-                        "--engine): processes-backend workers breaching it "
-                        "are recycled at shard boundaries, and the "
-                        "shared-memory transport trims/downgrades instead "
-                        "of exceeding it (0 = unbounded)")
 
 
 def _engine_setting(args):
@@ -200,8 +195,6 @@ def _engine_setting(args):
             overrides["shards"] = default_shards()
     if getattr(args, "shm", None) is not None:
         overrides["shm"] = args.shm
-    if getattr(args, "memory_budget", None) is not None:
-        overrides["memory_budget_bytes"] = args.memory_budget
     if overrides:
         return overrides
     return getattr(args, "engine", "on")
@@ -239,7 +232,7 @@ def _cmd_factorize(args, out) -> int:
     print(f"factorizing {label}: {tensor}", file=out)
 
     telemetry = "auto"
-    if args.telemetry or args.trace_out:
+    if args.telemetry or args.trace_out or args.trace:
         from repro.obs import Telemetry
 
         telemetry = Telemetry(jsonl_path=args.trace_out)
@@ -249,14 +242,7 @@ def _cmd_factorize(args, out) -> int:
         telemetry=telemetry, engine=_engine_setting(args),
     )
     supervised = args.max_retries is not None or args.deadline is not None
-    if args.trace:
-        # Tracing needs retained records; run the update stack through a
-        # recording executor by monkey-free reconstruction: rerun via cstf
-        # then export from a dedicated traced executor is not possible, so
-        # trace the whole run by enabling record retention on the driver's
-        # executor via the traced wrapper below.
-        result = _factorize_traced(tensor, config, args.trace, out)
-    elif supervised:
+    if supervised:
         from repro.resilience.supervisor import RunSupervisor, SupervisorConfig
 
         sup = RunSupervisor(
@@ -291,35 +277,15 @@ def _cmd_factorize(args, out) -> int:
             telemetry.close()
         print(f"telemetry: {len(rec.spans)} spans, {len(rec.kernels)} kernels, "
               f"{len(rec.events)} events", file=out)
+        if args.trace:
+            from repro.obs import write_telemetry_chrome_trace
+
+            write_telemetry_chrome_trace(rec, args.trace)
+            print(f"chrome trace written to {args.trace}", file=out)
         if args.trace_out:
             print(f"telemetry JSONL written to {args.trace_out} "
                   f"(convert with: repro trace {args.trace_out})", file=out)
     return 0
-
-
-def _factorize_traced(tensor, config, trace_path, out):
-    """Run cstf with kernel-record retention and export a Chrome trace.
-
-    The driver constructs its own executor, so tracing substitutes a
-    record-retaining factory for the duration of the run.
-    """
-    from unittest import mock
-
-    from repro.machine.executor import Executor
-    from repro.machine.traceviz import write_chrome_trace
-
-    captured = {}
-
-    def recording_executor(device="a100", keep_records=False):
-        ex = Executor(device, keep_records=True)
-        captured.setdefault("ex", ex)
-        return ex
-
-    with mock.patch("repro.core.cstf.Executor", recording_executor):
-        result = cstf(tensor, config)
-    write_chrome_trace(captured["ex"], trace_path)
-    print(f"chrome trace written to {trace_path}", file=out)
-    return result
 
 
 def _cmd_analyze(args, out) -> int:

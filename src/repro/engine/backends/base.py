@@ -36,9 +36,8 @@ recovery takes over.
 A backend supplies only the primitives that really differ:
 :meth:`~ExecutionBackend._submit` (put every shard in flight),
 :meth:`~ExecutionBackend._wait` (wait for one shard and report its
-outcome), and the optional :meth:`~ExecutionBackend._settle`,
-:meth:`~ExecutionBackend._finish` and :meth:`~ExecutionBackend._close`
-hooks. The defaults run each shard inline at collection — the serial
+outcome), and the optional :meth:`~ExecutionBackend._finish` and
+:meth:`~ExecutionBackend._close` hooks. The defaults run each shard inline at collection — the serial
 backend, which additionally draws no faults (nothing can crash or
 straggle), so a serial run's injector RNG stream matches a run that never
 shards.
@@ -251,7 +250,6 @@ class ExecutionBackend:
                     redone=redone, captured=tel.enabled,
                     transport="inline" if redone else job.transport,
                 )
-                self._settle(job, i, redone, events)
                 partials.append(value)
             return self._finish(job, tree_reduce(partials))
         finally:
@@ -277,9 +275,6 @@ class ExecutionBackend:
         """
         partial, batch = job.run(i)
         return OK, partial, [batch]
-
-    def _settle(self, job: ShardJob, i: int, redone: bool, events) -> None:
-        """Hook after shard *i* is collected (and redone if it failed)."""
 
     def _finish(self, job: ShardJob, reduced: np.ndarray) -> np.ndarray:
         """Hook on the reduced result; returns what the caller gets."""

@@ -9,10 +9,10 @@ and the serial redo; this backend supplies the watchdog its ``_wait``
 runs around each outstanding shard:
 
 - **liveness** — each worker owns a private duplex pipe; while a result is
-  pending the parent polls the pipe and the process in short beats, and
-  samples the worker's RSS. A worker that is no longer alive (negative
-  exitcode = died on a signal) is *lost*: it is respawned and its exit
-  status named in the ``worker_lost`` event.
+  pending the parent polls the pipe and the process in short beats. A
+  worker that is no longer alive (negative exitcode = died on a signal)
+  is *lost*: it is respawned and its exit status named in the
+  ``worker_lost`` event.
 - **straggler deadline** — a worker still running past its shard's
   deadline is killed outright (its private accumulator dies with it) and
   respawned, as a ``shard_timeout``.
@@ -22,8 +22,6 @@ runs around each outstanding shard:
   polled forever.
 - **in-worker exceptions** — a worker that raises sends back an error
   marker and stays alive (``shard_retry``).
-- **memory pressure** — a healthy worker whose peak RSS breached
-  ``EngineConfig.memory_budget_bytes`` is recycled at the shard boundary.
 
 Shard streams stay resident in the workers. A shard is a segment range
 of a cached plan's stream, named by its key ``(plan token, a, c)``
@@ -32,10 +30,10 @@ key, and the stream itself (pickled over the pipe) only when the worker
 does not hold that key for the task's mode yet; each ship is counted as
 ``engine.proc.streams_shipped``. A worker keeps one stream per mode and
 replaces it when a new key arrives. The parent tracks what each worker
-holds on its :class:`_Worker`, so a respawned, recycled or fork-refreshed
-worker starts empty and is sent its streams again, and after a worker
-raised the parent forgets what it holds for that mode. A worker sent a
-key it does not hold raises, and the serial redo covers the shard.
+holds on its :class:`_Worker`, so a respawned or fork-refreshed worker
+starts empty and is sent its streams again, and after a worker raised
+the parent forgets what it holds for that mode. A worker sent a key it
+does not hold raises, and the serial redo covers the shard.
 
 Factor matrices and accumulators travel over one of two transports:
 
@@ -76,32 +74,12 @@ from repro.engine.backends.base import (
 )
 from repro.obs import current_telemetry
 from repro.obs.worker import merge_worker_batch
-from repro.resilience.events import TRANSPORT_DOWNGRADED, WORKER_RECYCLED
+from repro.resilience.events import TRANSPORT_DOWNGRADED
 
 __all__ = ["ProcessBackend"]
 
 #: Watchdog poll beat while a shard result is outstanding, in seconds.
 HEARTBEAT = 0.02
-
-try:
-    _PAGE_SIZE = os.sysconf("SC_PAGE_SIZE")
-except (AttributeError, ValueError, OSError):  # pragma: no cover - exotic host
-    _PAGE_SIZE = 4096
-
-
-def _read_rss(pid: int) -> int:
-    """Resident set size of *pid* in bytes via procfs (0 where unreadable).
-
-    ``/proc/<pid>/statm`` field 1 is resident pages; a vanished process,
-    a non-procfs host, or a malformed read all report 0 — the watchdog
-    treats that as "no pressure signal", never as an error.
-    """
-    try:
-        with open(f"/proc/{pid}/statm", "rb") as fh:
-            return int(fh.read().split()[1]) * _PAGE_SIZE
-    except (OSError, IndexError, ValueError):
-        return 0
-
 
 def _attach_shm_task(shm_desc: dict, attached: list, last_gen: int):
     """Worker-side: map one task's shm descriptors into ndarray views.
@@ -415,12 +393,7 @@ class ProcessBackend(ExecutionBackend):
         n = len(job.streams)
         job.workers = self._ensure_workers(n)
         job.fmats = [np.ascontiguousarray(f, dtype=np.float64) for f in job.fmats]
-        tel = current_telemetry()
         job.pool = self._segment_pool() if self._use_shm(job.cfg) else None
-        job.budget = job.cfg.memory_budget_bytes
-        if job.budget > 0 and tel.enabled:
-            tel.gauge("engine.proc.memory_budget", float(job.budget))
-        job.peaks = [0] * n
         job.views, job.leases, job.fmat_leases = [None] * n, [None] * n, []
         shm_base = None
         if job.pool is not None:
@@ -439,7 +412,6 @@ class ProcessBackend(ExecutionBackend):
         from repro.engine.backends.shm import ShmExhausted
 
         pool = job.pool
-        pool.budget_bytes = job.budget
         try:
             if faults is not None and faults.fires(
                 "shm_exhausted", mode=job.mode, events=events
@@ -464,7 +436,7 @@ class ProcessBackend(ExecutionBackend):
                 job.views[i][...] = 0.0
             return {"gen": pool.next_generation(), "fmats": fmat_descs}
         except ShmExhausted as exc:
-            # /dev/shm pressure (budget, kernel, or injected fault): this
+            # /dev/shm pressure (kernel or injected fault): this
             # dispatch pickles over the pipes — bit-identical, only the
             # transport differs.
             self._close(job)
@@ -511,9 +483,7 @@ class ProcessBackend(ExecutionBackend):
     def _wait(self, job, i, deadline):
         """Watchdog loop for one outstanding shard result.
 
-        Samples the worker's RSS once per heartbeat (the gauge stream the
-        doctor and the recycle decision rank against the budget), and
-        reports a dead worker, a broken pipe or a failed delivery as a
+        Reports a dead worker, a broken pipe or a failed delivery as a
         lost worker and a live worker past *deadline* as a timeout —
         killing and respawning it either way. An ``"ok"`` reply on the
         shm transport means the worker filled the shard's segment in
@@ -523,11 +493,6 @@ class ProcessBackend(ExecutionBackend):
         worker = job.workers[i]
         context = "task delivery failed"
         while job.sent[i]:
-            rss = _read_rss(worker.proc.pid)
-            if rss > job.peaks[i]:
-                job.peaks[i] = rss
-                if tel.enabled:
-                    tel.gauge("engine.proc.worker_rss", float(rss), worker=i)
             try:
                 if worker.conn.poll(HEARTBEAT):
                     status, payload, batch = worker.conn.recv()
@@ -578,24 +543,7 @@ class ProcessBackend(ExecutionBackend):
             job.pool.discard(job.leases[i])
             job.leases[i] = None
 
-    def _settle(self, job, i, redone, events) -> None:
-        peak = job.peaks[i]
-        if 0 < job.budget < peak and not redone and job.workers[i].alive():
-            # Memory pressure: the shard result is already collected, so a
-            # graceful replacement at the shard boundary cannot affect
-            # bit-identity — it just returns the memory.
-            job.workers[i] = self._recycle(i, peak, job.budget, job.mode, events)
-
     def _finish(self, job, reduced):
-        tel = current_telemetry()
-        peak = max(job.peaks)
-        # Gauges keep last-value semantics; the peak gauge is kept monotone
-        # across dispatches so end-of-run summaries (and the doctor) see
-        # the run's true high-water mark.
-        if tel.enabled and peak > tel.metrics.gauges.get(
-            "engine.proc.worker_rss_peak", 0.0
-        ):
-            tel.gauge("engine.proc.worker_rss_peak", float(peak))
         # The reduction root may be an shm view; the caller owns the result
         # beyond this dispatch's leases.
         return reduced if job.pool is None else np.array(reduced, copy=True)
@@ -606,35 +554,3 @@ class ProcessBackend(ExecutionBackend):
             for lease in job.fmat_leases + job.leases:
                 if lease is not None:
                     job.pool.release(lease)
-
-    def _recycle(self, index, rss, budget, mode, events) -> _Worker:
-        """Gracefully replace a worker whose RSS breached the memory budget.
-
-        Unlike :meth:`_respawn` (a dead or wedged worker, killed outright)
-        the recycled worker is healthy and idle — it is stopped with the
-        shutdown sentinel so its final telemetry flush batch merges before
-        the replacement starts, and nothing is lost.
-        """
-        worker = self._workers[index]
-        tel = current_telemetry()
-        try:
-            batch = worker.stop()
-        except (OSError, ValueError):  # pragma: no cover - defensive
-            batch = None
-        if batch is not None:
-            merge_worker_batch(tel, batch)
-        if self._shm_pool is not None:
-            # Same hygiene as _respawn: the replacement must never attach
-            # a recycled segment name from a dispatch it did not see.
-            self._shm_pool.flush_free()
-        self._workers[index] = _Worker(self._ctx, index)
-        tel.counter("engine.proc.workers_recycled")
-        if events is not None:
-            events.record(
-                WORKER_RECYCLED, "MTTKRP", mode=mode,
-                detail=f"worker {index} peak RSS {rss} bytes breached the "
-                       f"{budget}-byte memory budget; worker recycled at "
-                       f"the shard boundary",
-                worker=index, rss=int(rss), budget=int(budget),
-            )
-        return self._workers[index]

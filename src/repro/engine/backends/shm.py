@@ -31,8 +31,6 @@ unregisters every attach immediately.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from repro.obs import current_telemetry
@@ -64,12 +62,11 @@ class ShmAttachError(RuntimeError):
 class ShmExhausted(RuntimeError):
     """A segment lease could not be satisfied under /dev/shm pressure.
 
-    Raised by :meth:`SegmentPool.lease` when the memory budget (after
-    trimming every idle segment) still cannot fit the request, or when the
-    kernel itself refuses the allocation (a genuinely full /dev/shm). The
-    process backend catches it per dispatch — an injected
-    ``shm_exhausted`` fault raises it there too — and downgrades to the
-    pipe transport (``transport_downgraded``) instead of failing the run.
+    Raised by :meth:`SegmentPool.lease` when the kernel refuses the
+    allocation (a genuinely full /dev/shm). The process backend catches
+    it per dispatch — an injected ``shm_exhausted`` fault raises it there
+    too — and downgrades to the pipe transport (``transport_downgraded``)
+    instead of failing the run.
     """
 
 
@@ -175,46 +172,20 @@ class SegmentPool:
     ``release`` returns it to the free list for the next dispatch. The
     pool is single-threaded by construction — one dispatcher leases and
     releases around each ``run_shards`` call — so there is no locking.
-
-    When ``budget_bytes`` is set (> 0) the pool bounds its *live*
-    /dev/shm footprint — free-list segments included — by that budget:
-    a lease that would exceed it first trims idle segments
-    (``engine.shm.trims``), and if the request still cannot fit raises
-    :class:`ShmExhausted`. Kernel-level allocation failures (a really
-    full /dev/shm) surface as :class:`ShmExhausted` too, so callers
-    have exactly one pressure signal to handle.
+    A kernel-level allocation failure (a full /dev/shm) surfaces as
+    :class:`ShmExhausted`, the one pressure signal callers handle.
     """
 
-    def __init__(self, budget_bytes: int = 0):
+    def __init__(self):
         self._free: list[SegmentLease] = []
         self._leased: list[SegmentLease] = []
         self._generation = 0
-        self._pid = os.getpid()
-        self.budget_bytes = int(budget_bytes)
 
     # ------------------------------------------------------------------ #
     def next_generation(self) -> int:
         """A fresh dispatch tag; workers refuse anything older than seen."""
         self._generation += 1
         return self._generation
-
-    def live_bytes(self) -> int:
-        """Total /dev/shm bytes the pool currently holds (free + leased)."""
-        return sum(l.capacity for l in self._free) + sum(
-            l.capacity for l in self._leased
-        )
-
-    def _trim(self, excess: int) -> None:
-        """Destroy idle segments, largest first, to free at least *excess*."""
-        freed = 0
-        tel = current_telemetry()
-        for lease in sorted(self._free, key=lambda l: -l.capacity):
-            if freed >= excess:
-                break
-            self._free.remove(lease)
-            freed += lease.capacity
-            _destroy(lease.seg)
-            tel.counter("engine.shm.trims")
 
     def lease(self, nbytes: int) -> SegmentLease:
         nbytes = max(int(nbytes), 1)
@@ -227,14 +198,6 @@ class SegmentPool:
         if best is not None:
             self._free.remove(best)
         else:
-            budget = self.budget_bytes
-            if budget > 0 and self.live_bytes() + nbytes > budget:
-                self._trim(self.live_bytes() + nbytes - budget)
-            if budget > 0 and self.live_bytes() + nbytes > budget:
-                raise ShmExhausted(
-                    f"memory budget of {budget} bytes cannot fit a "
-                    f"{nbytes}-byte segment ({self.live_bytes()} bytes live)"
-                )
             from multiprocessing import shared_memory
 
             try:

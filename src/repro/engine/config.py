@@ -5,7 +5,9 @@ what the simulated machine model charges, so its knobs alter host
 wall-clock only, not the reported device timelines. Every engine path is
 bit-identical to the per-format kernels of :mod:`repro.kernels` (same
 summation order, same multiply order), which stay in the library as the
-reference oracle.
+reference oracle. There is no memory knob: a full ``/dev/shm`` downgrades
+a dispatch to the pipe transport, and an OOM-killed worker is respawned
+and its shard redone (see :mod:`repro.engine.backends.processes`).
 """
 
 from __future__ import annotations
@@ -76,20 +78,6 @@ class EngineConfig:
         serial execution across every fault-recovery path. Ignored by
         the ``serial``/``threads`` backends (shared address space
         already). Booleans are accepted and normalized to on/off.
-    memory_budget_bytes:
-        Resource-pressure memory budget in bytes (``0`` = unbounded, the
-        default). Two enforcement points, both on the ``processes``
-        backend: (1) the watchdog samples each worker's RSS
-        (``/proc/<pid>/statm``) every heartbeat and emits
-        ``engine.proc.worker_rss`` gauges — a worker whose peak RSS
-        breaches the budget is proactively recycled at the next shard
-        boundary (``worker_recycled`` event; the shard result is already
-        collected, so bit-identity is untouched); (2) the shared-memory
-        :class:`~repro.engine.backends.shm.SegmentPool` bounds its live
-        /dev/shm bytes by the same budget, trimming idle segments under
-        pressure and — when a lease still cannot fit — downgrading that
-        dispatch to pipe transport (``transport_downgraded`` event)
-        instead of erroring.
     """
 
     chunk: int = 4096
@@ -97,7 +85,6 @@ class EngineConfig:
     shard_timeout: float = 0.0
     backend: str = "threads"
     shm: str = "auto"
-    memory_budget_bytes: int = 0
 
     def __post_init__(self):
         require(int(self.chunk) >= 0, "chunk must be >= 0")
@@ -118,12 +105,6 @@ class EngineConfig:
             shm in _SHM, f"shm must be one of {_SHM}, got {self.shm!r}"
         )
         object.__setattr__(self, "shm", shm)
-        require(
-            int(self.memory_budget_bytes) >= 0, "memory_budget_bytes must be >= 0"
-        )
-        object.__setattr__(
-            self, "memory_budget_bytes", int(self.memory_budget_bytes)
-        )
 
 
 def default_shards() -> int:

@@ -27,12 +27,11 @@ watch:
   layer healed itself: shard retries/timeouts, plan-cache repairs,
   lost workers, supervisor retries, ladder degradations, or format
   fallbacks;
-- **resource pressure** — the run degraded under memory/disk pressure:
-  workers recycled over the RSS budget (``worker_recycled``), shm
-  dispatches downgraded to pipe transport (``transport_downgraded``),
-  checkpoint writes skipped on ENOSPC (``checkpoint_skipped``),
-  telemetry records dropped by a degraded sink (``obs.sink.dropped``) —
-  plus how close the peak worker RSS came to the configured budget.
+- **resource pressure** — the run degraded under /dev/shm or disk
+  pressure: shm dispatches downgraded to pipe transport
+  (``transport_downgraded``), checkpoint writes skipped on ENOSPC
+  (``checkpoint_skipped``), telemetry records dropped by a degraded sink
+  (``obs.sink.dropped``).
 """
 
 from __future__ import annotations
@@ -439,24 +438,19 @@ def _detect_degraded_execution(record: RunRecord) -> list[Finding]:
 
 
 def _detect_resource_pressure(record: RunRecord) -> list[Finding]:
-    """Memory/disk pressure the run absorbed by degrading, ranked.
+    """Shm/disk pressure the run absorbed by degrading, ranked.
 
     Every signal here is a *survived* pressure episode — the run finished
     and its numerics are bit-identical — but each one traded something
-    away (zero-copy transport, warm workers, checkpoint currency, or
-    telemetry completeness) that a right-sized budget would have kept.
+    away (zero-copy transport, checkpoint currency, or telemetry
+    completeness).
     """
-    recycled = [e for e in record.events if e.kind == "worker_recycled"]
     downgrades = [e for e in record.events if e.kind == "transport_downgraded"]
     ck_skips = [e for e in record.events if e.kind == "checkpoint_skipped"]
     counts = {
-        "workers recycled over the memory budget": max(
-            _counter(record, "engine.proc.workers_recycled"), len(recycled)
-        ),
         "shm dispatches downgraded to pipe transport": max(
             _counter(record, "engine.shm.downgrades"), len(downgrades)
         ),
-        "idle shm segments trimmed": _counter(record, "engine.shm.trims"),
         "checkpoint writes skipped (ENOSPC)": max(
             _counter(record, "resilience.checkpoint.skips"), len(ck_skips)
         ),
@@ -465,38 +459,26 @@ def _detect_resource_pressure(record: RunRecord) -> list[Finding]:
         ),
     }
     total = sum(counts.values())
-    peak = _gauge(record, "engine.proc.worker_rss_peak")
-    budget = _gauge(record, "engine.proc.memory_budget")
-    ratio = (peak / budget) if peak and budget else None
-    if total == 0 and (ratio is None or ratio < 0.8):
+    if total == 0:
         return []
     bits = [f"{int(v)} {k}" for k, v in counts.items() if v > 0]
-    if ratio is not None:
-        bits.append(
-            f"peak worker RSS {peak / 1e6:.1f} MB = {ratio:.0%} of the "
-            f"{budget / 1e6:.1f} MB memory budget"
-        )
-    severity = "warn" if total > 0 else "info"
     return [
         Finding(
             code="resource_pressure",
-            severity=severity,
+            severity="warn",
             summary=(
                 "run degraded under resource pressure: " + "; ".join(bits)
-                + " — results are bit-identical, but raise the budgets or "
-                  "shrink the run to stop paying the degraded paths"
+                + " — results are bit-identical, but free /dev/shm or disk "
+                  "space or shrink the run to stop paying the degraded paths"
             ),
             evidence={
                 "counters": {k: v for k, v in counts.items() if v > 0},
-                "rss_peak": peak,
-                "memory_budget": budget,
-                "rss_budget_ratio": ratio,
                 "iterations": sorted(
-                    {e.iteration for e in recycled + downgrades + ck_skips
+                    {e.iteration for e in downgrades + ck_skips
                      if e.iteration is not None}
                 ),
             },
-            score=float(total) + (ratio or 0.0),
+            score=float(total),
         )
     ]
 

@@ -42,8 +42,7 @@ EXECUTION_DEGRADED = "execution_degraded"
 FORMAT_FALLBACK = "format_fallback"
 DEADLINE_EXCEEDED = "deadline_exceeded"
 
-# Resource-pressure kinds (memory/disk budgets and their degradations).
-WORKER_RECYCLED = "worker_recycled"
+# Resource-pressure kinds (a full /dev/shm or disk and their degradations).
 TRANSPORT_DOWNGRADED = "transport_downgraded"
 CHECKPOINT_SKIPPED = "checkpoint_skipped"
 

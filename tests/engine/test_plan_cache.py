@@ -20,7 +20,7 @@ class TestEngineConfig:
     def test_defaults(self):
         assert dataclasses.asdict(EngineConfig()) == {
             "chunk": 4096, "shards": 1, "shard_timeout": 0.0,
-            "backend": "threads", "shm": "auto", "memory_budget_bytes": 0,
+            "backend": "threads", "shm": "auto",
         }
 
     def test_invalid_rejected(self):

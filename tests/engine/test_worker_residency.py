@@ -3,8 +3,8 @@
 A ``processes`` task carries its shard's key ``(plan token, a, c)`` and
 ships the stream only to a worker that does not hold that key for the
 mode yet (``engine.proc.streams_shipped`` counts the ships). Every path
-that replaces a worker — a kill, a straggler timeout, a memory-budget
-recycle — or leaves its state unknown — an in-worker raise — must make
+that replaces a worker — a kill or a straggler timeout — or leaves its
+state unknown — an in-worker raise — must make
 the next dispatch ship that worker's stream again, and every one must
 stay bitwise identical to serial execution.
 """
@@ -162,15 +162,6 @@ class TestReshipAfterFaults:
         # A loaded host may time out a healthy shard too; every timed-out
         # worker was killed and respawned empty.
         assert _dispatch(tensor, factors, cache)[1] == timeouts
-
-    def test_recycled_worker_is_sent_its_stream_again(self, tensor, factors):
-        cache = self._warm(tensor, factors)
-        _, shipped, events = _dispatch(
-            tensor, factors, cache, _cfg(memory_budget_bytes=1)
-        )
-        assert shipped == 0
-        assert len(events.of_kind("worker_recycled")) == SHARDS
-        assert _dispatch(tensor, factors, cache)[1] == SHARDS
 
     def test_raising_worker_is_sent_its_stream_again(self, tensor, factors):
         cache = self._warm(tensor, factors)
